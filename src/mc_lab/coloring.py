@@ -206,15 +206,22 @@ def coloring_to_json(col: EdgeColoring) -> str:
 def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
     """Load a coloring; listed edge order is free, ids are renumbered densely."""
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("coloring JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("coloring JSON must be an object")
     for key in ("graph6", "edges", "colors"):
         if key not in data:
             raise ValueError(f"coloring JSON missing {key!r}")
+    if not isinstance(data["graph6"], str):
+        raise ValueError("coloring JSON 'graph6' must be a string")
     g = parse_graph6(data["graph6"])
     raw_edges = data["edges"]
     raw_colors = data["colors"]
+    if not isinstance(raw_edges, list) or not isinstance(raw_colors, list):
+        raise ValueError("coloring JSON 'edges' and 'colors' must be lists")
     if len(raw_edges) != len(raw_colors):
         raise ValueError(
             f"{len(raw_edges)} edges listed against {len(raw_colors)} colors"
@@ -224,7 +231,16 @@ def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
     elist = g.edges()
     position = {e: i for i, e in enumerate(elist)}
     for pair, c in zip(raw_edges, raw_colors):
-        u, v = int(pair[0]), int(pair[1])
+        # type() rather than isinstance(): JSON true/false load as bools,
+        # which isinstance() counts as ints.
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
+        ):
+            raise ValueError(f"listed edge {pair!r} is not a pair of vertex ids")
+        u, v = pair
         if u > v:
             u, v = v, u
         if (u, v) not in idx or not g.has_edge(u, v):
@@ -232,7 +248,7 @@ def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
         i = position[(u, v)]
         if assigned[i] is not None:
             raise ValueError(f"edge ({u}, {v}) listed twice")
-        if not isinstance(c, int) or c < 0:
+        if type(c) is not int or c < 0:
             raise ValueError(f"color for edge ({u}, {v}) must be a nonnegative integer")
         assigned[i] = c
     if any(c is None for c in assigned):

@@ -8,8 +8,9 @@ over such colorings.
 The solver layers three attacks: a fast path of cheap structural
 conditions that pin mc(G) to the spanning-tree baseline m - n + 2,
 constructive lower bounds matched against structural upper bounds, and
-a branch-and-bound search over families of edge-disjoint trees for the
-graphs the bounds leave open.  A slow reference oracle that enumerates
+a branch-and-bound search over connected vertex sets that pairwise share
+at most one vertex, each realized by one tree class, for the graphs the
+bounds leave open.  A slow reference oracle that enumerates
 edge-set partitions directly backs the whole stack in tests.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .coloring import EdgeColoring, coloring_to_json, verify_mc
@@ -269,33 +269,41 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
     assert lb <= ub, f"bound inversion on {g!r}: {lb} > {ub}"
     if lb == ub:
         return McCertificate(lb, lb_col, "branch-and-bound", tuple(trace))
-    value, col = _tree_cover_search(g, lb_col, ub)
+    value, col = _vertex_set_search(g, lb_col, ub)
     assert verify_mc(col) is None
     assert col.color_count == value
     return McCertificate(value, col, "branch-and-bound", tuple(trace))
 
 
-def _tree_cover_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:
-    """Minimize total waste over edge-disjoint tree families.
+def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:
+    """Minimize total waste over connected vertex sets sharing at most one vertex.
 
-    A coloring with k colors exists iff some family of pairwise
-    edge-disjoint trees covers every nonadjacent pair within a member
-    tree using total waste m - k, where a tree on q edges wastes q - 1.
-    The search branches on the uncovered pair with the fewest candidate
-    trees and prunes with the pair-coverage capacity of the remaining
-    waste budget.
+    Some extremal coloring has nontrivial classes that are trees pairwise
+    sharing at most one vertex (Caro and Yuster's lemma on simple
+    colorings), and such trees share no edge.  So a coloring with k
+    colors exists iff some family of connected vertex sets, pairwise
+    sharing at most one vertex, puts every nonadjacent pair inside a
+    member at total waste m - k, where a set S wastes |S| - 2 and any
+    spanning tree of G[S] realizes its class.  Vertex pairs are bits
+    u * n + v (u < v); a set occupies the pairs inside it and is legal
+    iff the chosen sets occupy none of them.  The search branches on
+    the uncovered pair with the fewest legal candidates and prunes with
+    the pair-coverage capacity of the remaining waste budget.
     """
     n, m = g.n, g.m
-    edges = list(g.edges())
-    evmask = [(1 << u) | (1 << v) for u, v in edges]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    np_ = len(pairs)
-    pvmask = [(1 << u) | (1 << v) for u, v in pairs]
+    adj = g.adj
+    upper = nonadj = 0
+    for u in range(n):
+        row = ((1 << n) - 1) >> (u + 1) << (u + 1)
+        upper |= row << (u * n)
+        nonadj |= (row & ~adj[u]) << (u * n)
+    np_ = nonadj.bit_count()
     best_w = m - start_col.color_count
     floor_w = m - ub
     # conv[r]: least total waste able to cover r nonadjacent pairs, since
-    # waste w buys a tree on w + 2 vertices covering at most C(w+1, 2)
-    # nonadjacent pairs and splitting waste never helps.
+    # waste w buys a connected set on w + 2 vertices, which holds at least
+    # w + 1 edges and so at most C(w+1, 2) nonadjacent pairs, and
+    # splitting waste never helps.
     conv = [0] * (np_ + 1)
     for r in range(1, np_ + 1):
         w = max(conv[r - 1], 1)
@@ -303,127 +311,96 @@ def _tree_cover_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
             w += 1
         conv[r] = w
 
-    pairs_in_memo: dict[int, int] = {}
+    # Every connected set on 3 .. best_w + 1 vertices, rooted at its lowest
+    # vertex and grown through neighbors; a neighbor skipped once is banned
+    # from later siblings, so each set comes out exactly once.  Each set
+    # is filed as (waste, vertex mask, occupied pairs) under every
+    # nonadjacent pair it covers.  With spread = sum of 2^(x*n) over x in
+    # s, the product s * spread has bit x*n + y set iff x, y are in s.
+    cands: dict[int, list[tuple[int, int, int]]] = {}
+    max_size = best_w + 1
 
-    def pairs_in(svmask: int) -> int:
-        hit = pairs_in_memo.get(svmask)
-        if hit is not None:
-            return hit
-        b = 0
-        for j in range(np_):
-            if pvmask[j] & svmask == pvmask[j]:
-                b |= 1 << j
-        pairs_in_memo[svmask] = b
-        return b
+    def grow(s: int, spread: int, size: int, ext: int, banned: int) -> None:
+        if size >= 3:
+            occ = s * spread & upper
+            item = (size - 2, s, occ)
+            cov = occ & nonadj
+            while cov:
+                jb = cov & -cov
+                cov ^= jb
+                cands.setdefault(jb.bit_length() - 1, []).append(item)
+        if size == max_size:
+            return
+        while ext:
+            wb = ext & -ext
+            ext ^= wb
+            w = wb.bit_length() - 1
+            s2 = s | wb
+            grow(s2, spread | 1 << w * n, size + 1, (ext | adj[w]) & ~(s2 | banned), banned)
+            banned |= wb
 
-    cand_memo: dict[tuple[int, int, int], tuple] = {}
+    for r in range(n):
+        low = (2 << r) - 1
+        grow(1 << r, 1 << r * n, 1, adj[r] & ~low, low)
+    for cl in cands.values():
+        cl.sort()
 
-    def candidates(j: int, avail: int, cap: int) -> tuple:
-        """All (waste, vertex mask, edge mask) trees through pair j."""
-        key = (j, avail, cap)
-        hit = cand_memo.get(key)
-        if hit is not None:
-            return hit
-        u, v = pairs[j]
-        aadj = [0] * n
-        for i in bits(avail):
-            a, b = edges[i]
-            aadj[a] |= 1 << b
-            aadj[b] |= 1 << a
-        uvm = (1 << u) | (1 << v)
-        others = [w for w in range(n) if not uvm >> w & 1 and aadj[w]]
-        out = []
-        for k in range(1, min(cap, len(others)) + 1):
-            for extra in combinations(others, k):
-                svmask = uvm
-                for w in extra:
-                    svmask |= 1 << w
-                if len(_mask_components(aadj, svmask)) != 1:
-                    continue
-                inner = [i for i in bits(avail) if evmask[i] & svmask == evmask[i]]
-                for tmask in _spanning_tree_masks(k + 2, svmask, inner, edges):
-                    out.append((k, svmask, tmask))
-        out = tuple(out)
-        cand_memo[key] = out
-        return out
-
-    best_family: list[list[tuple[int, int]]] | None = None
+    best_sets: list[int] | None = None
     done = False
 
-    def dfs(uncov: int, avail: int, w_used: int, chosen: list[int]) -> None:
-        nonlocal best_w, best_family, done
+    def dfs(uncov: int, occupied: int, w_used: int, live: dict, chosen: list[int]) -> None:
+        nonlocal best_w, best_sets, done
         if uncov == 0:
             best_w = w_used
-            best_family = [[edges[i] for i in bits(tm)] for tm in chosen]
+            best_sets = list(chosen)
             if best_w <= floor_w:
                 done = True
             return
         if w_used + conv[uncov.bit_count()] >= best_w:
             return
+        # Legal candidates only shrink along a branch, so each node
+        # narrows its parent's lists and hands them to its children.
         cap = best_w - 1 - w_used
-        pick = -1
-        pick_cands: tuple = ()
+        narrowed = {}
+        pick_cands: list[tuple[int, int, int]] | None = None
         uu = uncov
         while uu:
             jb = uu & -uu
             j = jb.bit_length() - 1
             uu ^= jb
-            cl = candidates(j, avail, cap)
+            cl = [c for c in live.get(j, ()) if c[0] <= cap and not c[2] & occupied]
             if not cl:
                 return
-            if pick < 0 or len(cl) < len(pick_cands):
-                pick, pick_cands = j, cl
-                if len(cl) == 1:
-                    break
-        for w, svmask, tmask in pick_cands:
-            unc2 = uncov & ~pairs_in(svmask)
+            narrowed[j] = cl
+            if pick_cands is None or len(cl) < len(pick_cands):
+                pick_cands = cl
+        for w, s, occ in pick_cands:
+            unc2 = uncov & ~occ
             if w_used + w + conv[unc2.bit_count()] >= best_w:
                 continue
-            chosen.append(tmask)
-            dfs(unc2, avail & ~tmask, w_used + w, chosen)
+            chosen.append(s)
+            dfs(unc2, occupied | occ, w_used + w, narrowed, chosen)
             chosen.pop()
             if done:
                 return
 
-    dfs((1 << np_) - 1, (1 << m) - 1, 0, [])
+    dfs(nonadj, 0, 0, cands, [])
     value = m - best_w
-    if best_family is None:
+    if best_sets is None:
         return value, start_col
-    col = _coloring_from_groups(g, best_family)
-    return value, col
-
-
-def _spanning_tree_masks(
-    size: int, svmask: int, inner: list[int], edges: list[tuple[int, int]]
-) -> list[int]:
-    """Edge masks of every spanning tree on the ``size`` vertices of svmask."""
-    target = size - 1
-    out: list[int] = []
-    total = len(inner)
-    parent = {x: x for x in bits(svmask)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(pos: int, count: int, mask: int) -> None:
-        if count == target:
-            out.append(mask)
-            return
-        if total - pos < target - count:
-            return
-        i = inner[pos]
-        a, b = edges[i]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            rec(pos + 1, count + 1, mask | (1 << i))
-            parent[ra] = ra
-        rec(pos + 1, count, mask)
-
-    rec(0, 0, 0)
-    return out
+    # Each class is the BFS tree of G[S] from its lowest vertex.
+    groups = []
+    for s in best_sets:
+        seen = s & -s
+        queue = [seen.bit_length() - 1]
+        tree = []
+        for u in queue:
+            for w in bits(adj[u] & s & ~seen):
+                seen |= 1 << w
+                tree.append((u, w))
+                queue.append(w)
+        groups.append(tree)
+    return value, _coloring_from_groups(g, groups)
 
 
 def mc_oracle_partitions(g: Graph) -> int:
@@ -436,7 +413,8 @@ def mc_oracle_partitions(g: Graph) -> int:
     costs one color, a class formed by j such merges joins at most
     C(j+1, 2) nonadjacent pairs, and a one-color spanning tree plus
     rainbow leftovers always realizes m - n + 2 colors.  Independent of
-    the tree-family model the main solver searches.
+    the vertex-set model the main solver searches: it assumes nothing
+    about how color classes overlap.
     """
     if not is_connected(g):
         raise ValueError("mc is only defined for connected graphs")

@@ -278,6 +278,34 @@ def test_cli_verify_reads_file(tmp_path):
     assert missing.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("edges", [[0], [0, 3], [1, 2], [2, 3]]),
+        ("graph6", 5),
+        ("edges", 5),
+        ("colors", [True, False, False, False]),
+    ],
+    ids=["one-endpoint-edge", "graph6-not-a-string", "edges-not-a-list", "boolean-colors"],
+)
+def test_cli_verify_rejects_malformed_coloring(field, value):
+    doc = json.loads(coloring_to_json(EdgeColoring(cycle_graph(4), [0, 0, 0, 1])))
+    doc[field] = value
+    proc = run_cli("verify", stdin=json.dumps(doc))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
+def test_cli_verify_rejects_deeply_nested_json():
+    proc = run_cli("verify", stdin="[" * 100_000 + "]" * 100_000)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"error": "coloring JSON nests too deeply"}
+
+
 def test_cli_construct_anchored_pipes_into_verify():
     proc = run_cli("construct", "anchored", "--n", "6", "--t", "3")
     assert proc.returncode == 0

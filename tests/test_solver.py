@@ -7,12 +7,14 @@ from math import comb
 
 import pytest
 
-from mc_lab.coloring import verify_mc
+from mc_lab.coloring import is_simple, verify_mc
 from mc_lab.constructions import (
     build_anchored_partition,
     build_augmented_split_graph,
     build_degree_two_witness,
     build_diameter_three_witness,
+    complete_multipartite,
+    multipartite_star_coloring,
 )
 from mc_lab.graph_core import (
     _diameter,
@@ -25,6 +27,7 @@ from mc_lab.graph_core import (
     edge_mask,
     enumerate_connected_graphs,
     from_edges,
+    is_connected,
     path_graph,
 )
 from mc_lab.solver import (
@@ -349,3 +352,50 @@ def test_oracle_agrees_on_random_five_vertex_graphs():
     pool = list(enumerate_connected_graphs(5))
     for g in rng.sample(pool, 60):
         assert mc_oracle_partitions(g) == mc_exact(g).value, edge_mask(g)
+
+
+# ---------------------------------------------------------------------------
+# vertex-set search
+
+
+def _search_matches_oracle(g):
+    """Check mc_exact without the fast path against the oracle.
+
+    Returns whether the search beat the best lower bound; its coloring
+    then comes from the vertex-set model, so it must be simple.
+    """
+    cert = mc_exact(g, fast_path=False)
+    assert cert.value == mc_oracle_partitions(g), edge_mask(g)
+    lower = max(v for name, v in cert.bound_trace if name.startswith("lower:"))
+    if cert.value == lower:
+        return False
+    assert is_simple(cert.coloring), edge_mask(g)
+    assert verify_mc(cert.coloring) is None, edge_mask(g)
+    return True
+
+
+def test_search_matches_oracle_on_all_graphs_up_to_five_vertices():
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    assert len(graphs) == 771
+    searched = sum(_search_matches_oracle(g) for g in graphs)
+    assert searched > 0
+
+
+def test_search_matches_oracle_on_seven_vertex_graphs():
+    # sparse enough for the oracle, dense enough to miss the fast path
+    rng = random.Random(7)
+    pairs = list(combinations(range(7), 2))
+    graphs = []
+    while len(graphs) < 25:
+        g = from_edges(7, rng.sample(pairs, rng.randint(9, ORACLE_EDGE_CAP)))
+        if is_connected(g) and baseline_fast_path(g) is None:
+            graphs.append(g)
+    searched = sum(_search_matches_oracle(g) for g in graphs)
+    assert searched > 0
+
+
+@pytest.mark.parametrize("sizes, expect", [([3, 3, 3], 21), ([2, 3, 4], 20)])
+def test_dense_multipartite_values(sizes, expect):
+    pg = complete_multipartite(sizes)
+    assert mc_exact(pg.graph).value == expect
+    assert multipartite_star_coloring(pg).color_count == expect
