@@ -4,6 +4,12 @@ A coloring assigns one color id to every edge, stored parallel to the
 graph's lexicographic edge order.  A coloring *monochromatically connects*
 the graph when every vertex pair lies in one connected component of some
 single color class; :func:`verify_mc` reports the first pair that fails.
+
+Every edge's own class joins its two endpoints, so :func:`verify_mc`
+starts from the adjacency rows and merges components only for the classes
+of two or more edges: its cost is the adjacency plus those classes.  The
+per-class view (:meth:`EdgeColoring.classes`) is built lazily, for the
+structural predicates only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
-from .graph_core import Edge, Graph, bits, edge_index, emit_graph6, parse_graph6
+from .graph_core import Edge, Graph, bits, emit_graph6, parse_graph6
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ class ColorClass:
 class EdgeColoring:
     """Edge colors parallel to ``graph.edges()``; ids contiguous from 0."""
 
-    __slots__ = ("graph", "colors", "_classes")
+    __slots__ = ("graph", "colors", "_classes", "_position")
 
     def __init__(self, graph: Graph, colors) -> None:
         colors = tuple(colors)
@@ -50,6 +56,7 @@ class EdgeColoring:
         self.graph = graph
         self.colors = colors
         self._classes = None
+        self._position = None
 
     @property
     def color_count(self) -> int:
@@ -63,10 +70,11 @@ class EdgeColoring:
         u, v = edge
         if u > v:
             u, v = v, u
-        try:
-            i = self.graph.edges().index((u, v))
-        except ValueError:
-            raise KeyError(f"({u}, {v}) is not an edge of the graph") from None
+        if self._position is None:
+            self._position = {e: i for i, e in enumerate(self.graph.edges())}
+        i = self._position.get((u, v))
+        if i is None:
+            raise KeyError(f"({u}, {v}) is not an edge of the graph")
         return self.colors[i]
 
     def classes(self) -> tuple[ColorClass, ...]:
@@ -96,38 +104,36 @@ class EdgeColoring:
         return f"EdgeColoring({self.color_count} colors on {self.graph.m} edges)"
 
 
+def _components(edges) -> list[int]:
+    """Vertex bitsets of the connected components that ``edges`` form.
+
+    Each vertex points at its component's root; a merge re-points the
+    vertices of the smaller component only.
+    """
+    root: dict[int, int] = {}
+    comp: dict[int, int] = {}
+    for u, v in edges:
+        a = root.setdefault(u, u)
+        b = root.setdefault(v, v)
+        if a == b:
+            continue
+        ma = comp.pop(a, 1 << a)
+        mb = comp.pop(b, 1 << b)
+        if ma.bit_count() < mb.bit_count():
+            a, ma, mb = b, mb, ma
+        comp[a] = ma | mb
+        for w in bits(mb):
+            root[w] = a
+    return list(comp.values())
+
+
 def _build_class(color: int, es: tuple[Edge, ...]) -> ColorClass:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = tuple(sorted(_components(es)))
     vmask = 0
-    for u, v in es:
-        vmask |= 1 << u | 1 << v
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-    comps: dict[int, int] = defaultdict(int)
-    for x in parent:
-        comps[find(x)] |= 1 << x
-    components = tuple(sorted(comps.values()))
-    nverts = vmask.bit_count()
-    is_tree = len(components) == 1 and len(es) == nverts - 1
+    for comp in components:
+        vmask |= comp
+    is_tree = len(components) == 1 and len(es) == vmask.bit_count() - 1
     return ColorClass(color, es, vmask, components, is_tree, len(es) - 1)
-
-
-def color_count(col: EdgeColoring) -> int:
-    return col.color_count
-
-
-def waste(col: EdgeColoring) -> int:
-    return col.waste
 
 
 def verify_mc(col: EdgeColoring) -> Edge | None:
@@ -136,10 +142,19 @@ def verify_mc(col: EdgeColoring) -> Edge | None:
     Otherwise return the lexicographically first vertex pair with no
     single-colored path between its endpoints.
     """
-    n = col.graph.n
-    covered = [1 << u for u in range(n)]
-    for cls in col.classes():
-        for comp in cls.components:
+    g = col.graph
+    n = g.n
+    # A single edge's class joins only its own, already adjacent, endpoints.
+    covered = [row | 1 << u for u, row in enumerate(g.adj)]
+    counts = [0] * col.color_count
+    for c in col.colors:
+        counts[c] += 1
+    grouped: dict[int, list[Edge]] = defaultdict(list)
+    for e, c in zip(g.edges(), col.colors):
+        if counts[c] > 1:
+            grouped[c].append(e)
+    for es in grouped.values():
+        for comp in _components(es):
             for u in bits(comp):
                 covered[u] |= comp
     full = (1 << n) - 1
@@ -226,7 +241,6 @@ def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
         raise ValueError(
             f"{len(raw_edges)} edges listed against {len(raw_colors)} colors"
         )
-    idx = edge_index(g.n)
     assigned: list[int | None] = [None] * g.m
     elist = g.edges()
     position = {e: i for i, e in enumerate(elist)}
@@ -243,9 +257,9 @@ def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
         u, v = pair
         if u > v:
             u, v = v, u
-        if (u, v) not in idx or not g.has_edge(u, v):
+        i = position.get((u, v))
+        if i is None:
             raise ValueError(f"listed edge ({u}, {v}) is not an edge of the graph")
-        i = position[(u, v)]
         if assigned[i] is not None:
             raise ValueError(f"edge ({u}, {v}) listed twice")
         if type(c) is not int or c < 0:

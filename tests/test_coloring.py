@@ -1,8 +1,11 @@
 """Edge colorings: verification, structural predicates, JSON wire format."""
 
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_lab.coloring import (
     EdgeColoring,
@@ -13,7 +16,22 @@ from mc_lab.coloring import (
     is_simple,
     verify_mc,
 )
-from mc_lab.graph_core import complete_graph, cycle_graph, from_edges, path_graph
+from mc_lab.constructions import (
+    build_anchored_partition,
+    build_augmented_split_graph,
+    complete_multipartite,
+)
+from mc_lab.graph_core import (
+    complete_graph,
+    cycle_graph,
+    edge_list,
+    from_edge_mask,
+    from_edges,
+    path_graph,
+)
+
+# Property tests draw from a fixed seed so tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 # cycle_graph(4).edges() is [(0, 1), (0, 3), (1, 2), (2, 3)]
 
@@ -153,3 +171,117 @@ def test_color_of_unknown_edge():
     col = EdgeColoring(path_graph(4), [0, 1, 2])
     with pytest.raises(KeyError):
         col.color_of((0, 3))
+
+
+# ---------------------------------------------------------------------------
+# verify_mc against an independent oracle
+
+
+def _naive_first_gap(g, colors):
+    """First pair (u, v) with no BFS path inside a single color class."""
+    by_color = {}
+    for (u, v), c in zip(g.edges(), colors):
+        nbrs = by_color.setdefault(c, {})
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+
+    def joined(nbrs, s, t):
+        seen, queue = {s}, deque([s])
+        while queue:
+            x = queue.popleft()
+            if x == t:
+                return True
+            for y in nbrs.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return False
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not any(joined(nbrs, u, v) for nbrs in by_color.values()):
+                return (u, v)
+    return None
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(2, 12))
+    g = from_edge_mask(n, draw(st.integers(0, (1 << len(edge_list(n))) - 1)))
+    kind = draw(st.sampled_from(["single", "rainbow", "random"]))
+    if kind == "single":
+        raw = [0] * g.m
+    elif kind == "rainbow":
+        raw = list(range(g.m))
+    else:
+        k = draw(st.integers(1, max(1, g.m)))
+        raw = draw(st.lists(st.integers(0, k - 1), min_size=g.m, max_size=g.m))
+    ids = {}
+    return EdgeColoring(g, [ids.setdefault(c, len(ids)) for c in raw])
+
+
+@settings(PROPERTY, max_examples=300)
+@given(colored_graphs())
+def test_verify_mc_matches_naive_bfs(col):
+    assert verify_mc(col) == _naive_first_gap(col.graph, col.colors)
+
+
+def test_verify_mc_names_first_gap_of_rainbow_family_members():
+    # every family coloring passes, so only a rainbow one shows a verify_mc
+    # that accepts everything
+    graphs = [
+        build_anchored_partition(9, 4).graph,
+        build_augmented_split_graph(10, 5, 2)[0],
+        complete_multipartite([2, 3, 4]).graph,
+    ]
+    for g in graphs:
+        gaps = [
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+        ]
+        assert gaps
+        assert verify_mc(EdgeColoring(g, range(g.m))) == gaps[0]
+
+
+# ---------------------------------------------------------------------------
+# hostile JSON
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+# documents shaped like the wire format, with hostile members
+near_documents = st.fixed_dictionaries(
+    {
+        "graph6": st.sampled_from(["Cl", "Bw", "C~", "A_", "B?"]) | json_values,
+        "edges": st.lists(
+            st.lists(st.integers(-1, 4) | json_values, max_size=3) | json_values,
+            max_size=6,
+        )
+        | json_values,
+        "colors": st.lists(st.integers(-2, 6) | json_values, max_size=6) | json_values,
+    }
+)
+
+
+def _loads_or_value_error(data):
+    try:
+        col = coloring_from_json(data)
+    except ValueError:
+        return
+    assert isinstance(col, EdgeColoring)
+
+
+@PROPERTY
+@given(st.text())
+def test_coloring_from_json_text_raises_only_value_error(text):
+    _loads_or_value_error(text)
+
+
+@PROPERTY
+@given(json_values | near_documents)
+def test_coloring_from_json_values_raise_only_value_error(value):
+    _loads_or_value_error(value)
+    _loads_or_value_error(json.dumps(value))

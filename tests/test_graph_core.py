@@ -5,6 +5,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_lab.graph_core import (
     ENUMERATION_MAX_VERTICES,
@@ -173,6 +175,34 @@ def test_graph6_round_trip_random_larger():
             nbits = len(edge_list(n))
             g = from_edge_mask(n, rng.getrandbits(nbits))
             assert parse_graph6(emit_graph6(g)) == g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.data())
+def test_graph6_round_trip_every_vertex_count(data):
+    for n in range(2, 63):
+        mask = data.draw(st.integers(0, (1 << len(edge_list(n))) - 1), label=f"n={n}")
+        g = from_edge_mask(n, mask)
+        assert parse_graph6(emit_graph6(g)) == g
+
+
+@st.composite
+def graph6_like(draw):
+    # a valid header and the right length, so the data bytes get checked
+    n = draw(st.integers(2, 12))
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = st.characters(min_codepoint=63, max_codepoint=128)
+    return chr(n + 63) + draw(st.text(body, min_size=need, max_size=need))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.text() | graph6_like())
+def test_parse_graph6_raises_only_value_error(text):
+    try:
+        g = parse_graph6(text)
+    except ValueError:
+        return
+    assert emit_graph6(g) == text
 
 
 def test_graph6_error_offsets():
