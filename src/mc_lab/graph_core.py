@@ -6,6 +6,12 @@ cheap.  The module covers construction, graph6 text I/O, complements,
 standard metrics (degrees, diameter, exact chromatic number, exact vertex
 connectivity, cut vertices, triangle-freeness), labeled enumeration of
 connected graphs, and deterministic BFS spanning trees.
+
+Vertex connectivity follows Even's pair selection: only nonadjacent
+pairs whose lower vertex is at most the best separator found so far are
+tried.  Each pair counts its common neighbours, then finds the remaining
+disjoint paths by BFS augmenting paths over bitset rows, stopping once
+the count reaches the best separator.
 """
 
 from __future__ import annotations
@@ -109,6 +115,8 @@ def edge_index(n: int) -> dict[Edge, int]:
 
 
 def from_edges(n: int, edges) -> Graph:
+    if not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 2..{MAX_VERTICES}")
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -117,7 +125,7 @@ def from_edges(n: int, edges) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._trusted(n, tuple(rows), sum(row.bit_count() for row in rows) // 2)
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:
@@ -331,59 +339,87 @@ def _has_cut_vertex(g: Graph) -> bool:
     return False
 
 
-def _local_vertex_connectivity(g: Graph, s: int, t: int) -> int:
-    # Max number of internally vertex-disjoint s-t paths, via unit-capacity
-    # max flow on the usual split-vertex digraph (node 2w in, 2w+1 out).
-    n = g.n
-    big = n
-    size = 2 * n
-    cap = [[0] * size for _ in range(size)]
-    for w in range(n):
-        cap[2 * w][2 * w + 1] = big if w in (s, t) else 1
-    for a in range(n):
-        for b in bits(g.adj[a]):
-            cap[2 * a + 1][2 * b] = big
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        parent = [-1] * size
-        parent[source] = source
-        queue = deque([source])
-        while queue and parent[sink] < 0:
-            x = queue.popleft()
-            row = cap[x]
-            for y in range(size):
-                if parent[y] < 0 and row[y] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if parent[sink] < 0:
-            return flow
-        bottleneck = big
-        y = sink
-        while y != source:
-            x = parent[y]
-            bottleneck = min(bottleneck, cap[x][y])
-            y = x
-        y = sink
-        while y != source:
-            x = parent[y]
-            cap[x][y] -= bottleneck
-            cap[y][x] += bottleneck
-            y = x
-        flow += bottleneck
+def _local_connectivity(adj: tuple[int, ...], s: int, t: int, cap: int) -> int:
+    """Internally disjoint s-t paths for nonadjacent s, t, searched until ``cap``.
+
+    Each common neighbour w gives the path s-w-t, and some maximum family
+    of disjoint paths uses all of them, so they are counted and set aside
+    first.  The other paths come from augmenting paths on the split graph
+    (an in and an out copy per vertex), found by BFS over bitset rows.
+    The flow is kept per vertex: bit w of ``on`` is set while w lies on a
+    path, and ``into[w]`` is the vertex before w on it.
+    """
+    n = len(adj)
+    common = adj[s] & adj[t]
+    k = common.bit_count()
+    inner = ((1 << n) - 1) & ~common & ~(1 << s | 1 << t)
+    tbit = 1 << t
+    on = 0
+    into = [-1] * n
+    while k < cap:
+        # by_in[y]: the out copy that reached y's in copy; by_out[z]: the
+        # in copy that reached z's out copy.
+        by_in = [-1] * n
+        by_out = [-1] * n
+        seen_in = 0
+        seen_out = 1 << s
+        frontier = [s]
+        last = -1
+        while frontier and last < 0:
+            reached = []
+            for x in frontier:
+                if adj[x] & tbit:
+                    last = x
+                    break
+                fresh = adj[x] & inner & ~seen_in
+                if on >> x & 1 and not seen_in >> x & 1:
+                    fresh |= 1 << x  # back along x's own unit of flow
+                seen_in |= fresh
+                for y in bits(fresh):
+                    by_in[y] = x
+                    # a free y passes through; a used y leads back along its path
+                    z = into[y] if on >> y & 1 else y
+                    if not seen_out >> z & 1:
+                        seen_out |= 1 << z
+                        by_out[z] = y
+                        reached.append(z)
+            frontier = reached
+        if last < 0:
+            break
+        # Walk the path back from t.  A y whose in copy was reached from
+        # its own out copy leaves its path; any other y now follows x.
+        z = last
+        while z != s:
+            y = by_out[z]
+            x = by_in[y]
+            if x == y:
+                on &= ~(1 << y)
+                into[y] = -1
+            else:
+                on |= 1 << y
+                into[y] = x
+            z = x
+        k += 1
+    return k
 
 
 def _vertex_connectivity(g: Graph) -> int:
-    if not is_connected(g):
-        return 0
-    n = g.n
-    if g.m == n * (n - 1) // 2:
-        return n - 1
-    best = n - 1
-    for u in range(n):
-        nonadj = ~(g.adj[u] | (1 << u)) & ((1 << n) - 1)
-        for v in bits(nonadj >> (u + 1)):
-            best = min(best, _local_vertex_connectivity(g, u, u + 1 + v))
+    """Exact vertex connectivity; 0 for a disconnected graph.
+
+    Even's pair selection: the least vertex u outside a minimum separator
+    S is at most |S|, and every vertex in another component of G - S is a
+    nonadjacent partner above u.  So only pairs (u, v) with u < v and
+    u <= best are tried.  best starts at the minimum degree, which is
+    the answer for a complete graph, as it has no nonadjacent pair.
+    """
+    adj = g.adj
+    full = (1 << g.n) - 1
+    best = min(row.bit_count() for row in adj)
+    u = 0
+    while u <= best:
+        for v in bits(full & ~adj[u] >> (u + 1) << (u + 1)):
+            best = min(best, _local_connectivity(adj, u, v, best))
+        u += 1
     return best
 
 

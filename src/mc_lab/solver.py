@@ -30,6 +30,7 @@ from .constructions import (
 from .formulas import split_graph_base_edges
 from .graph_core import (
     Graph,
+    _chromatic_number,
     _diameter,
     _has_cut_vertex,
     _is_triangle_free,
@@ -37,7 +38,6 @@ from .graph_core import (
     bits,
     complement,
     is_connected,
-    metrics,
 )
 
 # Branch-and-bound is exponential; refuse exact solves past this order.
@@ -173,13 +173,12 @@ def mc_upper_bounds(g: Graph) -> list[tuple[str, int]]:
     count lands in the window [base, base + t - 2] over the split-graph
     base edge count for some t.
     """
-    mt = metrics(g)
     m, n = g.m, g.n
     out = [
-        ("upper:chromatic", m - n + mt.chromatic_number),
-        ("upper:connectivity", m - n + mt.vertex_connectivity + 1),
+        ("upper:chromatic", m - n + _chromatic_number(g)),
+        ("upper:connectivity", m - n + _vertex_connectivity(g) + 1),
     ]
-    s = mt.min_degree
+    s = min(g.degree(v) for v in range(n))
     if is_s_perfectly_connected(g, s):
         out.append(("upper:min-degree", m - n + s + 1))
     else:

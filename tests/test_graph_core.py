@@ -5,13 +5,15 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mc_lab.graph_core import (
     ENUMERATION_MAX_VERTICES,
     Graph,
     Graph6Error,
+    _local_connectivity,
+    _vertex_connectivity,
     bits,
     complement,
     complete_graph,
@@ -82,6 +84,24 @@ def _brute_vertex_connectivity(g):
     return g.n - 1
 
 
+def _brute_local_connectivity(g, s, t):
+    # size of a minimum vertex set whose removal separates nonadjacent s, t
+    others = [v for v in range(g.n) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        for cut in combinations(others, k):
+            seen = {s}
+            stack = [s]
+            while stack:
+                u = stack.pop()
+                for v in range(g.n):
+                    if v not in seen and v not in cut and g.has_edge(u, v):
+                        seen.add(v)
+                        stack.append(v)
+            if t not in seen:
+                return k
+    raise AssertionError("unreachable")
+
+
 def _brute_cut_vertex(g):
     return any(not _connected_after_removal(g, {v}) for v in range(g.n))
 
@@ -113,6 +133,7 @@ def test_named_graph_shapes():
 
 def test_from_edges_accepts_either_endpoint_order():
     assert from_edges(3, [(1, 0), (2, 1)]) == from_edges(3, [(0, 1), (1, 2)])
+    assert from_edges(3, [(1, 0), (0, 1), (2, 1)]).m == 2
 
 
 def test_construction_errors():
@@ -285,6 +306,34 @@ def test_metrics_against_brute_force_sampled_n5():
         assert mt.vertex_connectivity == _brute_vertex_connectivity(g)
         assert mt.has_cut_vertex == _brute_cut_vertex(g)
         assert mt.is_triangle_free == _brute_triangle_free(g)
+
+
+@st.composite
+def small_graphs(draw):
+    # edges drawn at a chosen density: sparse graphs are often
+    # disconnected, dense ones highly connected, density 1 is complete
+    n = draw(st.integers(2, 9))
+    density = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return from_edges(n, [e for e in edge_list(n) if rng.random() < density])
+
+
+# The first augmenting path from 0 to 8 is 0-1-3-6-8; the second must
+# enter 6, back up through 3 to 1 and leave by 1-4-7-8.
+_REROUTE = from_edges(9, [(0, 1), (1, 3), (3, 6), (6, 8), (0, 2), (2, 5), (5, 6), (1, 4), (4, 7), (7, 8)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs(), st.integers(0, 8))
+@example(_REROUTE, 8)
+def test_vertex_connectivity_against_brute_force(g, cap):
+    assert _vertex_connectivity(g) == _brute_vertex_connectivity(g)
+    for s, t in combinations(range(g.n), 2):
+        if g.has_edge(s, t):
+            continue
+        kappa = _brute_local_connectivity(g, s, t)
+        assert _local_connectivity(g.adj, s, t, g.n) == kappa
+        assert min(_local_connectivity(g.adj, s, t, cap), cap) == min(kappa, cap)
 
 
 def test_metric_inequalities_sweep():

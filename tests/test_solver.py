@@ -159,6 +159,15 @@ def test_fast_path_returns_first_holding_condition():
             assert baseline_fast_path(g) == expect, g
 
 
+def test_fast_path_complement_connectivity():
+    # The square of the 12-cycle is 4-regular and 4-connected; no smaller
+    # condition holds for its complement.
+    square = from_edges(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
+    g = complement(square)
+    assert baseline_fast_path(g) == "complement-connectivity"
+    assert next(name for name, holds in _conditions(g) if holds) == "complement-connectivity"
+
+
 # ---------------------------------------------------------------------------
 # perfectly connected recognition
 
