@@ -6,8 +6,9 @@
 vertex and edge count, solved with the fast path on (1) or off (0), in
 enumeration order.  Bucket ``dense-upper-bounds`` covers
 [graph6, mc_upper_bounds] on a seeded set of dense graphs on 8..16
-vertices (K_n minus a matching, and anchored partitions), relabeled at
-random.  The colorings are checked by verify_mc inside mc_exact, not here.
+vertices: K_n minus a random matching, and anchored partitions
+relabeled at random.  The colorings are checked by verify_mc inside
+mc_exact, not here.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``;
 a regeneration then shows up in the diff.
@@ -38,7 +39,7 @@ def _relabeled(rng, g):
 
 
 def dense_graphs():
-    """K_n minus a random matching and anchored partitions, n = 8..16, relabeled."""
+    """K_n minus a random matching, and relabeled anchored partitions, n = 8..16."""
     rng = random.Random(DENSE_SEED)
     out = []
     for n in range(8, 17):
@@ -53,7 +54,7 @@ def dense_graphs():
 
 
 def digests() -> dict[str, str]:
-    hashes: dict[str, "hashlib._Hash"] = {}
+    hashes = {}
     for n in range(2, MAX_N + 1):
         for g in enumerate_connected_graphs(n):
             g6 = emit_graph6(g)

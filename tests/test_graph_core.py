@@ -320,7 +320,9 @@ def small_graphs(draw):
 
 # The first augmenting path from 0 to 8 is 0-1-3-6-8; the second must
 # enter 6, back up through 3 to 1 and leave by 1-4-7-8.
-_REROUTE = from_edges(9, [(0, 1), (1, 3), (3, 6), (6, 8), (0, 2), (2, 5), (5, 6), (1, 4), (4, 7), (7, 8)])
+_REROUTE = from_edges(
+    9, [(0, 1), (1, 3), (3, 6), (6, 8), (0, 2), (2, 5), (5, 6), (1, 4), (4, 7), (7, 8)]
+)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

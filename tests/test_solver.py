@@ -160,7 +160,7 @@ def test_fast_path_returns_first_holding_condition():
 
 
 def test_fast_path_complement_connectivity():
-    # The square of the 12-cycle is 4-regular and 4-connected; no smaller
+    # The square of the 12-cycle is 4-regular and 4-connected; no earlier
     # condition holds for its complement.
     square = from_edges(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
     g = complement(square)
