@@ -208,14 +208,17 @@ def has_no_redundant_class(col: EdgeColoring) -> bool:
 # ---------------------------------------------------------------------------
 # JSON wire format: {"graph6": ..., "edges": [[u, v], ...], "colors": [...]}
 
+def _coloring_doc(col: EdgeColoring) -> dict[str, Any]:
+    """The wire-format object that :func:`coloring_to_json` serializes."""
+    return {
+        "graph6": emit_graph6(col.graph),
+        "edges": [[u, v] for u, v in col.graph.edges()],
+        "colors": list(col.colors),
+    }
+
+
 def coloring_to_json(col: EdgeColoring) -> str:
-    return json.dumps(
-        {
-            "graph6": emit_graph6(col.graph),
-            "edges": [[u, v] for u, v in col.graph.edges()],
-            "colors": list(col.colors),
-        }
-    )
+    return json.dumps(_coloring_doc(col))
 
 
 def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:

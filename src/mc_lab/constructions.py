@@ -14,13 +14,13 @@ from .coloring import EdgeColoring
 from .graph_core import (
     Edge,
     Graph,
+    _bfs_parents,
     bits,
     cycle_graph,
     edge_index,
     from_edges,
     is_connected,
     path_graph,
-    spanning_tree,
 )
 
 
@@ -108,9 +108,26 @@ def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:
 
 
 def spanning_tree_coloring(g: Graph) -> EdgeColoring:
-    """One color on a BFS spanning tree, fresh colors elsewhere: m - n + 2 colors."""
-    tree = sorted(spanning_tree(g))
-    col = _coloring_from_groups(g, [list(tree)])
+    """One color on a BFS spanning tree, fresh colors elsewhere: m - n + 2 colors.
+
+    The tree is :func:`spanning_tree`'s.  Its edge from 0 to 0's lowest
+    neighbor is also the first edge in lexicographic order, so by first
+    appearance the tree takes color 0 and every other edge the next id.
+    """
+    parent = _bfs_parents(g.adj)
+    if parent is None:
+        raise ValueError("spanning_tree_coloring requires a connected graph")
+    colors = []
+    fresh = 0
+    for u, row in enumerate(g.adj):
+        row >>= u + 1
+        while row:
+            low = row & -row
+            row ^= low
+            v = u + low.bit_length()
+            tree = parent[v] == u or parent[u] == v
+            colors.append(0 if tree else (fresh := fresh + 1))
+    col = EdgeColoring(g, colors)
     assert col.color_count == g.m - g.n + 2
     return col
 

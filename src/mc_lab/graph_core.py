@@ -17,10 +17,8 @@ the count reaches the best separator.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 Edge = tuple[int, int]
@@ -548,17 +546,26 @@ def enumerate_connected_graphs(n: int, m_filter: int | None = None) -> Iterator[
             yield Graph._trusted(n, tuple(rows), m)
 
 
+def _bfs_parents(adj: tuple[int, ...]) -> list[int] | None:
+    """Parents in :func:`spanning_tree`'s BFS (vertex 0's is -1); None if some vertex is unreached."""
+    parent = [-1] * len(adj)
+    seen = 1
+    order = [0]
+    for u in order:
+        new = adj[u] & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            w = low.bit_length() - 1
+            parent[w] = u
+            order.append(w)
+            new ^= low
+    return parent if len(order) == len(adj) else None
+
+
 def spanning_tree(g: Graph) -> set[Edge]:
     """BFS spanning tree from vertex 0, visiting neighbors in ascending order."""
-    if not is_connected(g):
+    parent = _bfs_parents(g.adj)
+    if parent is None:
         raise ValueError("spanning_tree requires a connected graph")
-    seen = 1
-    queue = deque([0])
-    tree: set[Edge] = set()
-    while queue:
-        u = queue.popleft()
-        for w in bits(g.adj[u] & ~seen):
-            seen |= 1 << w
-            tree.add((u, w) if u < w else (w, u))
-            queue.append(w)
-    return tree
+    return {(p, w) if p < w else (w, p) for w, p in enumerate(parent) if w}

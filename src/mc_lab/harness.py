@@ -417,14 +417,15 @@ def _cmd_compute(args) -> int:
             if args.method == "exact":
                 print(mc_exact(g).to_json())
             elif args.method == "bounds":
-                span = spanning_tree_coloring(g)
-                dense = near_complete_coloring(g)
+                if not is_connected(g):
+                    # stdout contract: the error text of spanning_tree()
+                    raise ValueError("spanning_tree requires a connected graph")
+                lower = near_complete_coloring(g).color_count
                 trace = [
-                    ("lower:spanning-tree", span.color_count),
-                    ("lower:near-complete", dense.color_count),
+                    ("lower:spanning-tree", g.m - g.n + 2),
+                    ("lower:near-complete", lower),
                 ]
                 trace.extend(mc_upper_bounds(g))
-                lower = max(span.color_count, dense.color_count)
                 upper = min(v for name, v in trace if name.startswith("upper:"))
                 out = {
                     "graph6": text,

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import EdgeColoring, coloring_to_json, verify_mc
+from .coloring import EdgeColoring, _coloring_doc, verify_mc
 from .constructions import (
     _coloring_from_groups,
     _mask_components,
@@ -82,17 +82,20 @@ class McCertificate:
                 "value": self.value,
                 "method": self.method,
                 "bound_trace": [[name, val] for name, val in self.bound_trace],
-                "coloring": json.loads(coloring_to_json(self.coloring)),
+                "coloring": _coloring_doc(self.coloring),
             }
         )
 
 
 def mc_lower_bound(g: Graph) -> tuple[int, EdgeColoring]:
-    """Best constructive lower bound for mc(g), with an attaining coloring."""
-    span = spanning_tree_coloring(g)
+    """Best constructive lower bound for mc(g), with an attaining coloring.
+
+    The near-complete coloring is the spanning-tree coloring when p >= n - 2
+    edges are missing and wastes at most p colors otherwise, so it never
+    has fewer than the spanning tree's m - n + 2.
+    """
     dense = near_complete_coloring(g)
-    best = dense if dense.color_count >= span.color_count else span
-    return best.color_count, best
+    return dense.color_count, dense
 
 
 def is_s_perfectly_connected(g: Graph, s: int) -> bool:
@@ -256,12 +259,10 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
         if reason is not None:
             trace.append((f"fast:baseline({reason})", m - n + 2))
             return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", tuple(trace))
-    span = spanning_tree_coloring(g)
-    dense = near_complete_coloring(g)
-    lb_col = dense if dense.color_count >= span.color_count else span
+    lb_col = near_complete_coloring(g)
     lb = lb_col.color_count
-    trace.append(("lower:spanning-tree", span.color_count))
-    trace.append(("lower:near-complete", dense.color_count))
+    trace.append(("lower:spanning-tree", m - n + 2))
+    trace.append(("lower:near-complete", lb))
     ubs = mc_upper_bounds(g)
     trace.extend(ubs)
     ub = min(v for _, v in ubs)

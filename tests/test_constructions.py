@@ -1,5 +1,6 @@
 """Coloring constructions and the graph families built for them."""
 
+import random
 from math import comb
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mc_lab.coloring import classes_are_trees, is_simple, verify_mc
 from mc_lab.constructions import (
     PartitionedGraph,
+    _coloring_from_groups,
     anchored_partition_coloring,
     build_anchored_partition,
     build_augmented_split_graph,
@@ -20,12 +22,14 @@ from mc_lab.constructions import (
 from mc_lab.graph_core import (
     complete_graph,
     cycle_graph,
+    edge_list,
     emit_graph6,
     enumerate_connected_graphs,
     from_edges,
     is_connected,
     metrics,
     path_graph,
+    spanning_tree,
 )
 
 
@@ -51,6 +55,41 @@ def test_spanning_coloring_color_count_and_validity():
 def test_spanning_coloring_of_a_tree_uses_one_color():
     col = spanning_tree_coloring(path_graph(5))
     assert col.color_count == 1
+
+
+def _reference_spanning_coloring(g):
+    return _coloring_from_groups(g, [sorted(spanning_tree(g))])
+
+
+def test_spanning_coloring_matches_the_group_construction():
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            assert spanning_tree_coloring(g) == _reference_spanning_coloring(g)
+    rng = random.Random(16)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(7, 16)
+        g = from_edges(n, [e for e in edge_list(n) if rng.random() < rng.choice([0.2, 0.5, 0.9])])
+        if is_connected(g):
+            assert spanning_tree_coloring(g) == _reference_spanning_coloring(g)
+            checked += 1
+
+
+def test_spanning_coloring_rejects_disconnected_input():
+    with pytest.raises(ValueError):
+        spanning_tree_coloring(from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError):
+        spanning_tree_coloring(from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]))
+
+
+def test_group_coloring_rejects_bad_groups():
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="not in the graph"):
+        _coloring_from_groups(c4, [[(0, 1), (0, 2)]])
+    with pytest.raises(ValueError, match="two groups"):
+        _coloring_from_groups(c4, [[(0, 1), (1, 2)], [(2, 3), (1, 0)]])
+    with pytest.raises(ValueError, match="two groups"):
+        _coloring_from_groups(c4, [[(0, 1), (1, 0)]])
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +159,13 @@ def test_near_complete_waste_bound_over_all_small_graphs():
             col = near_complete_coloring(g)
             assert verify_mc(col) is None
             assert col.waste <= comb(n, 2) - g.m
+
+
+def test_near_complete_never_below_the_spanning_tree_count():
+    # licenses mc_exact taking it as the lower-bound coloring outright
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            assert near_complete_coloring(g).color_count >= g.m - n + 2
 
 
 def test_near_complete_rejects_disconnected_input():

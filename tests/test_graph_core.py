@@ -397,3 +397,32 @@ def test_spanning_tree_properties():
         assert is_connected(from_edges(4, tree))
     with pytest.raises(ValueError):
         spanning_tree(from_edges(4, [(0, 1), (2, 3)]))
+
+
+def _queue_bfs_tree(g):
+    # reference: a FIFO queue, unseen neighbors enqueued in ascending order
+    seen = {0}
+    queue = [0]
+    tree = set()
+    for u in queue:
+        for w in range(g.n):
+            if g.has_edge(u, w) and w not in seen:
+                seen.add(w)
+                tree.add((min(u, w), max(u, w)))
+                queue.append(w)
+    return tree
+
+
+def test_spanning_tree_follows_queue_order_not_vertex_order():
+    # 0 discovers 3 before 5, and 3 discovers 4 before 5 discovers 2, so 1
+    # (adjacent to 2 and 4) hangs off 4, the vertex dequeued first.
+    g = from_edges(6, [(0, 3), (0, 5), (3, 4), (5, 2), (4, 1), (2, 1)])
+    assert spanning_tree(g) == _queue_bfs_tree(g)
+    assert (1, 4) in spanning_tree(g)
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        g = from_edges(n, [e for e in edge_list(n) if rng.random() < rng.choice([0.15, 0.3, 0.6])])
+        if is_connected(g):
+            assert spanning_tree(g) == _queue_bfs_tree(g)
+

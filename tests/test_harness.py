@@ -225,6 +225,39 @@ def test_cli_compute_bounds_method():
     assert "upper:chromatic" in names
 
 
+# Exact stdout lines: the spanning-tree entry of the trace is m - n + 2,
+# the lower bound is the near-complete count.
+_BOUNDS_STDOUT = {
+    "EhEG": '{"graph6": "EhEG", "method": "bounds", "lower": 2, "upper": 2, "bound_trace": '
+    '[["lower:spanning-tree", 2], ["lower:near-complete", 2], ["upper:chromatic", 2], '
+    '["upper:connectivity", 3], ["upper:min-degree", 2], ["upper:edge-window(t=5)", 2]], "value": 2}',
+    "E]~o": '{"graph6": "E]~o", "method": "bounds", "lower": 9, "upper": 9, "bound_trace": '
+    '[["lower:spanning-tree", 8], ["lower:near-complete", 9], ["upper:chromatic", 9], '
+    '["upper:connectivity", 11], ["upper:min-degree", 10], ["upper:edge-window(t=3)", 10]], "value": 9}',
+    "B?": '{"graph6": "B?", "error": "spanning_tree requires a connected graph"}',
+}
+
+
+@pytest.mark.parametrize("graph6", sorted(_BOUNDS_STDOUT))
+def test_cli_compute_bounds_stdout_is_exact(graph6):
+    proc = run_cli("compute", "--graph6", graph6, "--method", "bounds")
+    assert proc.stdout == _BOUNDS_STDOUT[graph6] + "\n"
+    assert proc.returncode == (1 if graph6 == "B?" else 0)
+
+
+def test_cli_compute_exact_stdout_is_exact():
+    proc = run_cli("compute", stdin="E]~o\nP~~~~~~~~~~~~~~~~~~~~~~{\n")
+    assert proc.stdout.splitlines() == [
+        '{"value": 9, "method": "branch-and-bound", "bound_trace": [["lower:spanning-tree", 8], '
+        '["lower:near-complete", 9], ["upper:chromatic", 9], ["upper:connectivity", 11], '
+        '["upper:min-degree", 10], ["upper:edge-window(t=3)", 10]], "coloring": {"graph6": "E]~o", '
+        '"edges": [[0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [1, 5], [2, 4], [2, 5], '
+        '[3, 4], [3, 5]], "colors": [0, 0, 1, 2, 3, 4, 1, 5, 6, 6, 7, 8]}}',
+        '{"graph6": "P~~~~~~~~~~~~~~~~~~~~~~{", "error": "refusing exact solve for n=17 > 16; '
+        'mc is within [136, 136]", "lower": 136, "upper": 136}',
+    ]
+
+
 def test_cli_compute_fast_method():
     proc = run_cli("compute", "--graph6", "EhEG", "--method", "fast")
     assert proc.returncode == 0

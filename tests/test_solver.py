@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from mc_lab.coloring import is_simple, verify_mc
+from mc_lab.coloring import coloring_to_json, is_simple, verify_mc
 from mc_lab.constructions import (
     build_anchored_partition,
     build_augmented_split_graph,
@@ -24,6 +24,7 @@ from mc_lab.graph_core import (
     complement,
     complete_graph,
     cycle_graph,
+    edge_list,
     edge_mask,
     enumerate_connected_graphs,
     from_edges,
@@ -298,9 +299,28 @@ def test_certificate_trace_names():
     assert cert.bound_trace == (("fast:baseline(max-degree)", 2),)
     cert2 = mc_exact(complete_graph(4))
     names = [name for name, _ in cert2.bound_trace]
-    assert names[0] == "lower:spanning-tree"
-    assert names[1] == "lower:near-complete"
+    assert cert2.bound_trace[:2] == (("lower:spanning-tree", 4), ("lower:near-complete", 6))
     assert "upper:chromatic" in names
+
+
+def test_certificate_json_embeds_the_coloring_wire_format():
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(8)
+    for n in range(8, 17):
+        graphs.append(_without(n, rng.sample(edge_list(n), 2)))
+        graphs.append(_without(n, [(v, v + 1) for v in range(0, n - 1, 2)]))
+    for g in graphs:
+        cert = mc_exact(g)
+        expected = json.dumps(
+            {
+                "value": cert.value,
+                "method": cert.method,
+                "bound_trace": [[name, val] for name, val in cert.bound_trace],
+                "coloring": json.loads(coloring_to_json(cert.coloring)),
+            }
+        )
+        assert cert.to_json() == expected
+        assert expected.endswith(', "coloring": ' + coloring_to_json(cert.coloring) + "}")
 
 
 def test_exact_solver_is_deterministic():
