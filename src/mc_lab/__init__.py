@@ -42,7 +42,6 @@ from .formulas import (
 from .graph_core import (
     Graph,
     Graph6Error,
-    GraphMetrics,
     complement,
     complete_graph,
     cycle_graph,
@@ -51,7 +50,6 @@ from .graph_core import (
     from_edge_mask,
     from_edges,
     is_connected,
-    metrics,
     parse_graph6,
     path_graph,
     spanning_tree,
@@ -73,7 +71,6 @@ from .solver import (
     baseline_fast_path,
     is_s_perfectly_connected,
     mc_exact,
-    mc_lower_bound,
     mc_oracle_partitions,
     mc_upper_bounds,
 )
@@ -108,7 +105,6 @@ __all__ = [
     "table_rows",
     "Graph",
     "Graph6Error",
-    "GraphMetrics",
     "complement",
     "complete_graph",
     "cycle_graph",
@@ -117,7 +113,6 @@ __all__ = [
     "from_edge_mask",
     "from_edges",
     "is_connected",
-    "metrics",
     "parse_graph6",
     "path_graph",
     "spanning_tree",
@@ -135,7 +130,6 @@ __all__ = [
     "baseline_fast_path",
     "is_s_perfectly_connected",
     "mc_exact",
-    "mc_lower_bound",
     "mc_oracle_partitions",
     "mc_upper_bounds",
     "__version__",

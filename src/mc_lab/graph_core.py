@@ -3,7 +3,7 @@
 Vertices are 0..n-1 and every adjacency row is a Python int used as a
 bitset, which keeps the exhaustive sweeps and the solver's set algebra
 cheap.  The module covers construction, graph6 text I/O, complements,
-standard metrics (degrees, diameter, exact chromatic number, exact vertex
+standard invariants (degrees, diameter, exact chromatic number, exact vertex
 connectivity, cut vertices, triangle-freeness), labeled enumeration of
 connected graphs, and deterministic BFS spanning trees.
 
@@ -17,7 +17,6 @@ the count reaches the best separator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -245,7 +244,7 @@ def emit_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# connectivity and metrics
+# connectivity and invariants
 
 def is_connected(g: Graph) -> bool:
     full = (1 << g.n) - 1
@@ -478,32 +477,6 @@ def _chromatic_number(g: Graph) -> int:
         if _k_colorable(g, order, k):
             return k
     return ub
-
-
-@dataclass(frozen=True)
-class GraphMetrics:
-    """Summary invariants of a graph; ``diameter`` is math.inf when disconnected."""
-
-    max_degree: int
-    min_degree: int
-    diameter: int | float
-    vertex_connectivity: int
-    chromatic_number: int
-    is_triangle_free: bool
-    has_cut_vertex: bool
-
-
-def metrics(g: Graph) -> GraphMetrics:
-    degrees = [g.degree(u) for u in range(g.n)]
-    return GraphMetrics(
-        max_degree=max(degrees),
-        min_degree=min(degrees),
-        diameter=_diameter(g),
-        vertex_connectivity=_vertex_connectivity(g),
-        chromatic_number=_chromatic_number(g),
-        is_triangle_free=_is_triangle_free(g),
-        has_cut_vertex=_has_cut_vertex(g),
-    )
 
 
 # ---------------------------------------------------------------------------

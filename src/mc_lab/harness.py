@@ -29,7 +29,6 @@ from .constructions import (
     build_diameter_three_witness,
     complete_multipartite,
     multipartite_star_coloring,
-    near_complete_coloring,
     spanning_tree_coloring,
 )
 from .formulas import max_edges_capping, min_edges_forcing, table_rows
@@ -42,12 +41,7 @@ from .graph_core import (
     is_connected,
     parse_graph6,
 )
-from .solver import (
-    ExactSolveRefusedError,
-    baseline_fast_path,
-    mc_exact,
-    mc_upper_bounds,
-)
+from .solver import ExactSolveRefusedError, _bounds, baseline_fast_path, mc_exact
 
 HARD_CAP_ENV = "MC_LAB_HARD_CAP"
 DEFAULT_HARD_CAP = 7
@@ -420,13 +414,7 @@ def _cmd_compute(args) -> int:
                 if not is_connected(g):
                     # stdout contract: the error text of spanning_tree()
                     raise ValueError("spanning_tree requires a connected graph")
-                lower = near_complete_coloring(g).color_count
-                trace = [
-                    ("lower:spanning-tree", g.m - g.n + 2),
-                    ("lower:near-complete", lower),
-                ]
-                trace.extend(mc_upper_bounds(g))
-                upper = min(v for name, v in trace if name.startswith("upper:"))
+                lower, _, upper, trace = _bounds(g)
                 out = {
                     "graph6": text,
                     "method": "bounds",

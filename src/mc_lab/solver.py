@@ -87,17 +87,6 @@ class McCertificate:
         )
 
 
-def mc_lower_bound(g: Graph) -> tuple[int, EdgeColoring]:
-    """Best constructive lower bound for mc(g), with an attaining coloring.
-
-    The near-complete coloring is the spanning-tree coloring when p >= n - 2
-    edges are missing and wastes at most p colors otherwise, so it never
-    has fewer than the spanning tree's m - n + 2.
-    """
-    dense = near_complete_coloring(g)
-    return dense.color_count, dense
-
-
 def is_s_perfectly_connected(g: Graph, s: int) -> bool:
     """Whether some vertex v admits a perfect s-part split of the rest.
 
@@ -221,10 +210,26 @@ def baseline_fast_path(g: Graph) -> str | None:
     return None
 
 
+def _bounds(g: Graph) -> tuple[int, EdgeColoring, int, tuple[tuple[str, int], ...]]:
+    """Lower bound, its coloring, upper bound and the trace of every bound.
+
+    The near-complete coloring is the spanning-tree coloring when p >= n - 2
+    edges are missing and wastes at most p colors otherwise, so it never
+    has fewer than the spanning tree's m - n + 2; the trace lists both.
+    Private because the benchmark tracer wraps public functions only and
+    reads these two calls as ``mc_exact``'s own lower and upper phases.
+    """
+    lb_col = near_complete_coloring(g)
+    lb = lb_col.color_count
+    ubs = mc_upper_bounds(g)
+    trace = (("lower:spanning-tree", g.m - g.n + 2), ("lower:near-complete", lb), *ubs)
+    return lb, lb_col, min(v for _, v in ubs), trace
+
+
 def _cheap_bounds(g: Graph) -> tuple[int, int]:
     """Bounds safe to compute at any size, for refusal messages."""
     n, m = g.n, g.m
-    lb, _ = mc_lower_bound(g)
+    lb = near_complete_coloring(g).color_count
     delta = min(g.degree(v) for v in range(n))
     ub = m - n + delta + 1
     for t in range(2, n):
@@ -253,26 +258,19 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
             lower=lb,
             upper=ub,
         )
-    trace: list[tuple[str, int]] = []
     if fast_path:
         reason = baseline_fast_path(g)
         if reason is not None:
-            trace.append((f"fast:baseline({reason})", m - n + 2))
-            return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", tuple(trace))
-    lb_col = near_complete_coloring(g)
-    lb = lb_col.color_count
-    trace.append(("lower:spanning-tree", m - n + 2))
-    trace.append(("lower:near-complete", lb))
-    ubs = mc_upper_bounds(g)
-    trace.extend(ubs)
-    ub = min(v for _, v in ubs)
+            trace = ((f"fast:baseline({reason})", m - n + 2),)
+            return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", trace)
+    lb, lb_col, ub, trace = _bounds(g)
     assert lb <= ub, f"bound inversion on {g!r}: {lb} > {ub}"
     if lb == ub:
-        return McCertificate(lb, lb_col, "branch-and-bound", tuple(trace))
+        return McCertificate(lb, lb_col, "branch-and-bound", trace)
     value, col = _vertex_set_search(g, lb_col, ub)
     assert verify_mc(col) is None
     assert col.color_count == value
-    return McCertificate(value, col, "branch-and-bound", tuple(trace))
+    return McCertificate(value, col, "branch-and-bound", trace)
 
 
 def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:

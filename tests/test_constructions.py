@@ -20,14 +20,15 @@ from mc_lab.constructions import (
     spanning_tree_coloring,
 )
 from mc_lab.graph_core import (
+    _diameter,
     complete_graph,
     cycle_graph,
     edge_list,
     emit_graph6,
     enumerate_connected_graphs,
+    from_edge_mask,
     from_edges,
     is_connected,
-    metrics,
     path_graph,
     spanning_tree,
 )
@@ -169,8 +170,18 @@ def test_near_complete_never_below_the_spanning_tree_count():
 
 
 def test_near_complete_rejects_disconnected_input():
-    with pytest.raises(ValueError):
-        near_complete_coloring(from_edges(4, [(0, 1), (2, 3)]))
+    # A disconnected graph misses at least n - 1 edges, so it always takes
+    # the spanning-tree branch, whose BFS raises.
+    rejected = 0
+    for n in range(2, 7):
+        for mask in range(1 << comb(n, 2)):
+            g = from_edge_mask(n, mask)
+            if is_connected(g):
+                continue
+            with pytest.raises(ValueError):
+                near_complete_coloring(g)
+            rejected += 1
+    assert rejected == 6391
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +331,7 @@ def test_diameter_three_witness():
     for n in (5, 6, 7, 8):
         g = build_diameter_three_witness(n)
         assert g.m == comb(n, 2) - n + 1
-        assert metrics(g).diameter == 3
+        assert _diameter(g) == 3
         assert g.degree(n - 2) == 1
         assert is_connected(g)
 

@@ -12,6 +12,10 @@ from mc_lab.graph_core import (
     ENUMERATION_MAX_VERTICES,
     Graph,
     Graph6Error,
+    _chromatic_number,
+    _diameter,
+    _has_cut_vertex,
+    _is_triangle_free,
     _local_connectivity,
     _vertex_connectivity,
     bits,
@@ -25,7 +29,6 @@ from mc_lab.graph_core import (
     from_edge_mask,
     from_edges,
     is_connected,
-    metrics,
     parse_graph6,
     path_graph,
     spanning_tree,
@@ -263,24 +266,37 @@ def test_five_cycle_complement_is_again_a_five_cycle():
     assert is_connected(co)
 
 
+def _degrees(g):
+    degrees = [g.degree(u) for u in range(g.n)]
+    return max(degrees), min(degrees)
+
+
+def _invariants_match_brute_force(g):
+    assert _diameter(g) == _brute_diameter(g)
+    assert _chromatic_number(g) == _brute_chromatic(g)
+    assert _vertex_connectivity(g) == _brute_vertex_connectivity(g)
+    assert _has_cut_vertex(g) == _brute_cut_vertex(g)
+    assert _is_triangle_free(g) == _brute_triangle_free(g)
+
+
 def test_metrics_known_graphs():
-    mk = metrics(complete_graph(5))
-    assert (mk.max_degree, mk.min_degree, mk.diameter) == (4, 4, 1)
-    assert (mk.vertex_connectivity, mk.chromatic_number) == (4, 5)
-    assert not mk.is_triangle_free and not mk.has_cut_vertex
+    k5 = complete_graph(5)
+    assert (*_degrees(k5), _diameter(k5)) == (4, 4, 1)
+    assert (_vertex_connectivity(k5), _chromatic_number(k5)) == (4, 5)
+    assert not _is_triangle_free(k5) and not _has_cut_vertex(k5)
 
-    mp = metrics(path_graph(4))
-    assert (mp.max_degree, mp.min_degree, mp.diameter) == (2, 1, 3)
-    assert (mp.vertex_connectivity, mp.chromatic_number) == (1, 2)
-    assert mp.is_triangle_free and mp.has_cut_vertex
+    p4 = path_graph(4)
+    assert (*_degrees(p4), _diameter(p4)) == (2, 1, 3)
+    assert (_vertex_connectivity(p4), _chromatic_number(p4)) == (1, 2)
+    assert _is_triangle_free(p4) and _has_cut_vertex(p4)
 
-    mc5 = metrics(cycle_graph(5))
-    assert (mc5.diameter, mc5.vertex_connectivity, mc5.chromatic_number) == (2, 2, 3)
-    assert metrics(cycle_graph(6)).chromatic_number == 2
+    c5 = cycle_graph(5)
+    assert (_diameter(c5), _vertex_connectivity(c5), _chromatic_number(c5)) == (2, 2, 3)
+    assert _chromatic_number(cycle_graph(6)) == 2
 
-    md = metrics(from_edges(4, [(0, 1), (2, 3)]))
-    assert md.diameter == math.inf
-    assert md.vertex_connectivity == 0
+    two_edges = from_edges(4, [(0, 1), (2, 3)])
+    assert _diameter(two_edges) == math.inf
+    assert _vertex_connectivity(two_edges) == 0
 
 
 def test_metrics_against_brute_force_n4():
@@ -288,24 +304,14 @@ def test_metrics_against_brute_force_n4():
         g = from_edge_mask(4, mask)
         if not is_connected(g):
             continue
-        mt = metrics(g)
-        assert mt.diameter == _brute_diameter(g)
-        assert mt.chromatic_number == _brute_chromatic(g)
-        assert mt.vertex_connectivity == _brute_vertex_connectivity(g)
-        assert mt.has_cut_vertex == _brute_cut_vertex(g)
-        assert mt.is_triangle_free == _brute_triangle_free(g)
+        _invariants_match_brute_force(g)
 
 
 def test_metrics_against_brute_force_sampled_n5():
     rng = random.Random(11)
     pool = list(enumerate_connected_graphs(5))
     for g in rng.sample(pool, 80):
-        mt = metrics(g)
-        assert mt.diameter == _brute_diameter(g)
-        assert mt.chromatic_number == _brute_chromatic(g)
-        assert mt.vertex_connectivity == _brute_vertex_connectivity(g)
-        assert mt.has_cut_vertex == _brute_cut_vertex(g)
-        assert mt.is_triangle_free == _brute_triangle_free(g)
+        _invariants_match_brute_force(g)
 
 
 @st.composite
@@ -341,10 +347,11 @@ def test_vertex_connectivity_against_brute_force(g, cap):
 def test_metric_inequalities_sweep():
     for n in (3, 4, 5):
         for g in enumerate_connected_graphs(n):
-            mt = metrics(g)
-            assert mt.vertex_connectivity <= mt.min_degree <= mt.max_degree
-            assert mt.chromatic_number <= mt.max_degree + 1
-            assert mt.has_cut_vertex == (mt.vertex_connectivity == 1 and n >= 3)
+            dmax, dmin = _degrees(g)
+            kappa = _vertex_connectivity(g)
+            assert kappa <= dmin <= dmax
+            assert _chromatic_number(g) <= dmax + 1
+            assert _has_cut_vertex(g) == (kappa == 1 and n >= 3)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import mc_lab.harness as harness
 from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, verify_mc
 from mc_lab.formulas import max_edges_capping, min_edges_forcing
-from mc_lab.graph_core import cycle_graph, parse_graph6
+from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
 from mc_lab.harness import (
     CertificationReport,
     certify,
@@ -243,6 +243,28 @@ def test_cli_compute_bounds_stdout_is_exact(graph6):
     proc = run_cli("compute", "--graph6", graph6, "--method", "bounds")
     assert proc.stdout == _BOUNDS_STDOUT[graph6] + "\n"
     assert proc.returncode == (1 if graph6 == "B?" else 0)
+
+
+def test_cli_compute_bounds_trace_matches_the_solver():
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    proc = run_cli("compute", "--method", "bounds", stdin="".join(emit_graph6(g) + "\n" for g in graphs))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(graphs) == 771
+    for g, line in zip(graphs, lines):
+        trace = tuple(tuple(entry) for entry in json.loads(line)["bound_trace"])
+        assert trace == mc_exact(g, fast_path=False).bound_trace, emit_graph6(g)
+
+
+def test_cli_compute_refusal_takes_the_edge_window():
+    # K_17 minus the disjoint edges 01 and 23: the t = 3 edge window gives
+    # 134 - 3 + 1 = 132, below the degree cap 134 - 17 + 15 + 1 = 133.
+    proc = run_cli("compute", "--graph6", "P]~~~~~~~~~~~~~~~~~~~~~{")
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        '{"graph6": "P]~~~~~~~~~~~~~~~~~~~~~{", "error": "refusing exact solve for n=17 > 16; '
+        'mc is within [132, 132]", "lower": 132, "upper": 132}\n'
+    )
 
 
 def test_cli_compute_exact_stdout_is_exact():

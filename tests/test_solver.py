@@ -35,10 +35,10 @@ from mc_lab.solver import (
     EXACT_HARD_CAP,
     ORACLE_EDGE_CAP,
     ExactSolveRefusedError,
+    _bounds,
     baseline_fast_path,
     is_s_perfectly_connected,
     mc_exact,
-    mc_lower_bound,
     mc_oracle_partitions,
     mc_upper_bounds,
 )
@@ -244,10 +244,11 @@ def test_perfectly_connected_matches_brute_force():
 
 
 def test_lower_bound_picks_the_denser_construction():
-    value, col = mc_lower_bound(_without(5, [(3, 4)]))
-    assert value == 8
+    value, col, _, trace = _bounds(_without(5, [(3, 4)]))
+    assert value == 8 == col.color_count
     assert verify_mc(col) is None
-    tree_val, _ = mc_lower_bound(path_graph(5))
+    assert trace[:2] == (("lower:spanning-tree", 6), ("lower:near-complete", 8))
+    tree_val, _, _, _ = _bounds(path_graph(5))
     assert tree_val == 1
 
 
