@@ -4,11 +4,12 @@
 ``n=<n> m=<m> fast=<0|1>`` covers the canonical JSON line
 [graph6, value, method, bound_trace] of every connected graph with that
 vertex and edge count, solved with the fast path on (1) or off (0), in
-enumeration order.  Bucket ``dense-upper-bounds`` covers
-[graph6, mc_upper_bounds] on a seeded set of dense graphs on 8..16
-vertices: K_n minus a random matching, and anchored partitions
-relabeled at random.  The colorings are checked by verify_mc inside
-mc_exact, not here.
+enumeration order.  Bucket ``colorings n=<n> fast=<0|1>`` covers
+[graph6, colors] of the same solves, so the exact trees each class
+takes are pinned too; verify_mc inside mc_exact checks that they are
+valid.  Bucket ``dense-upper-bounds`` covers [graph6, mc_upper_bounds]
+on a seeded set of dense graphs on 8..16 vertices: K_n minus a random
+matching, and anchored partitions relabeled at random.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``;
 a regeneration then shows up in the diff.
@@ -64,6 +65,9 @@ def digests() -> dict[str, str]:
                 key = f"n={n} m={g.m} fast={fast}"
                 hashes.setdefault(key, hashlib.sha256()).update(
                     _line(g6, cert.value, cert.method, trace)
+                )
+                hashes.setdefault(f"colorings n={n} fast={fast}", hashlib.sha256()).update(
+                    _line(g6, cert.coloring.colors)
                 )
     dense = hashes["dense-upper-bounds"] = hashlib.sha256()
     for g in dense_graphs():
