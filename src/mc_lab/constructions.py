@@ -15,6 +15,7 @@ from .graph_core import (
     Edge,
     Graph,
     _bfs_parents,
+    _mask_components,
     bits,
     cycle_graph,
     edge_index,
@@ -113,7 +114,7 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
     neighbor is also the first edge in lexicographic order, so by first
     appearance the tree takes color 0 and every other edge the next id.
     """
-    parent = _bfs_parents(g.adj)
+    parent = _bfs_parents(g.adj, (1 << g.n) - 1)
     if parent is None:
         raise ValueError("spanning_tree_coloring requires a connected graph")
     colors = []
@@ -176,25 +177,6 @@ def near_complete_coloring(g: Graph) -> EdgeColoring:
     col = _coloring_from_groups(g, groups)
     assert col.waste <= p, f"waste {col.waste} exceeds missing-edge count {p}"
     return col
-
-
-def _mask_components(adj: list[int], within: int) -> list[int]:
-    """Connected components of the graph restricted to ``within``, sorted by lowest id."""
-    comps = []
-    left = within
-    while left:
-        seed = left & -left
-        seen = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
-            frontier = nxt & within & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
-    return comps
 
 
 def complete_multipartite(sizes: list[int]) -> PartitionedGraph:

@@ -7,6 +7,12 @@ standard invariants (degrees, diameter, exact chromatic number, exact vertex
 connectivity, cut vertices, triangle-freeness), labeled enumeration of
 connected graphs, and deterministic BFS spanning trees.
 
+One reach routine, ``_reach``, answers every connectivity question: a
+graph is connected when vertex 0 reaches everything, components are
+repeated reaches, and a cut vertex is one whose removal leaves a rest
+that its lowest vertex does not reach.  ``_bfs_parents`` is the one
+tree-building BFS.
+
 Vertex connectivity follows Even's pair selection: only nonadjacent
 pairs whose lower vertex is at most the best separator found so far are
 tried.  Each pair counts its common neighbours, then finds the remaining
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -246,17 +252,33 @@ def emit_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # connectivity and invariants
 
-def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    seen = 1
-    frontier = 1
+def _reach(adj: Sequence[int], seed: int, within: int) -> int:
+    """Vertices of ``within`` reachable from the vertex set ``seed`` without leaving ``within``."""
+    seen = frontier = seed
     while frontier:
         nxt = 0
-        for u in bits(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & ~seen
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == full
+    return seen
+
+
+def _mask_components(adj: Sequence[int], within: int) -> list[int]:
+    """Connected components of the graph restricted to ``within``, sorted by lowest id."""
+    comps = []
+    while within:
+        comp = _reach(adj, within & -within, within)
+        comps.append(comp)
+        within &= ~comp
+    return comps
+
+
+def is_connected(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    return _reach(g.adj, 1, full) == full
 
 
 def _reach_and_eccentricity(adj: tuple[int, ...], src: int) -> tuple[int, int]:
@@ -296,42 +318,16 @@ def _is_triangle_free(g: Graph) -> bool:
 
 
 def _has_cut_vertex(g: Graph) -> bool:
-    n = g.n
-    if n < 3:
+    """Whether G - v is disconnected for some vertex v, on n >= 3 vertices.
+
+    By this definition a disconnected graph on three or more vertices has one.
+    """
+    if g.n < 3:
         return False
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, bits(g.adj[root]))]
-        while stack:
-            u, parent, it = stack[-1]
-            descended = False
-            for w in it:
-                if not disc[w]:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if u == root:
-                        root_children += 1
-                    stack.append((w, u, bits(g.adj[w])))
-                    descended = True
-                    break
-                if w != parent and disc[w] < low[u]:
-                    low[u] = disc[w]
-            if descended:
-                continue
-            stack.pop()
-            if parent >= 0:
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-                if parent != root and low[u] >= disc[parent]:
-                    return True
-        if root_children >= 2:
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        rest = full & ~(1 << v)
+        if _reach(g.adj, rest & -rest, rest) != rest:
             return True
     return False
 
@@ -491,41 +487,27 @@ def enumerate_connected_graphs(n: int, m_filter: int | None = None) -> Iterator[
     """
     if not 2 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"enumeration supports 2..{ENUMERATION_MAX_VERTICES} vertices, got {n}")
-    elist = edge_list(n)
-    full = (1 << n) - 1
-    for mask in range(1 << len(elist)):
+    for mask in range(1 << len(edge_list(n))):
         m = mask.bit_count()
-        if m_filter is not None and m != m_filter:
+        if m < n - 1 or (m_filter is not None and m != m_filter):
             continue
-        if m < n - 1:
-            continue
-        rows = [0] * n
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = elist[low.bit_length() - 1]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            rest ^= low
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= rows[u]
-            frontier = nxt & ~seen
-            seen |= frontier
-        if seen == full:
-            yield Graph._trusted(n, tuple(rows), m)
+        g = from_edge_mask(n, mask)
+        if is_connected(g):
+            yield g
 
 
-def _bfs_parents(adj: tuple[int, ...]) -> list[int] | None:
-    """Parents in :func:`spanning_tree`'s BFS (vertex 0's is -1); None if some vertex is unreached."""
+def _bfs_parents(adj: tuple[int, ...], within: int) -> list[int] | None:
+    """BFS parents in G[within] from its lowest vertex, neighbours in ascending order.
+
+    The root and the vertices outside ``within`` get -1; None if some
+    vertex of ``within`` is unreached.
+    """
+    root = within & -within
     parent = [-1] * len(adj)
-    seen = 1
-    order = [0]
+    seen = root
+    order = [root.bit_length() - 1]
     for u in order:
-        new = adj[u] & ~seen
+        new = adj[u] & within & ~seen
         seen |= new
         while new:
             low = new & -new
@@ -533,12 +515,12 @@ def _bfs_parents(adj: tuple[int, ...]) -> list[int] | None:
             parent[w] = u
             order.append(w)
             new ^= low
-    return parent if len(order) == len(adj) else None
+    return parent if seen == within else None
 
 
 def spanning_tree(g: Graph) -> set[Edge]:
     """BFS spanning tree from vertex 0, visiting neighbors in ascending order."""
-    parent = _bfs_parents(g.adj)
+    parent = _bfs_parents(g.adj, (1 << g.n) - 1)
     if parent is None:
         raise ValueError("spanning_tree requires a connected graph")
     return {(p, w) if p < w else (w, p) for w, p in enumerate(parent) if w}

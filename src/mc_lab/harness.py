@@ -80,8 +80,6 @@ def _sweep_chunk(args: tuple[int, int, int, bool]):
     """Solve every connected graph whose edge mask lies in [start, stop)."""
     n, start, stop, keep = args
     count = 0
-    min_by_m: dict[int, int] = {}
-    max_by_m: dict[int, int] = {}
     wit: dict[tuple[int, int], str] = {}
     values: dict[int, int] | None = {} if keep else None
     for mask in range(start, stop):
@@ -92,18 +90,13 @@ def _sweep_chunk(args: tuple[int, int, int, bool]):
             continue
         val = mc_exact(g).value
         count += 1
-        m = g.m
-        if val < min_by_m.get(m, 1 << 30):
-            min_by_m[m] = val
-        if val > max_by_m.get(m, -1):
-            max_by_m[m] = val
         g6 = emit_graph6(g)
-        key = (m, val)
+        key = (g.m, val)
         if key not in wit or g6 < wit[key]:
             wit[key] = g6
         if values is not None:
             values[mask] = val
-    return count, min_by_m, max_by_m, wit, values
+    return count, wit, values
 
 
 _SWEEP_CACHE: dict[int, SweepResult] = {}
@@ -138,30 +131,29 @@ def sweep(n: int, jobs: int = 1, keep_values: bool = False) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(_sweep_chunk, argsets))
     count = 0
-    min_by_m: dict[int, int] = {}
-    max_by_m: dict[int, int] = {}
     wit: dict[tuple[int, int], str] = {}
     values: dict[int, int] | None = {} if keep_values else None
-    for c, mn, mx, w, vals in parts:
+    for c, w, vals in parts:
         count += c
-        for m, v in mn.items():
-            if v < min_by_m.get(m, 1 << 30):
-                min_by_m[m] = v
-        for m, v in mx.items():
-            if v > max_by_m.get(m, -1):
-                max_by_m[m] = v
         for key, g6 in w.items():
             if key not in wit or g6 < wit[key]:
                 wit[key] = g6
         if values is not None and vals is not None:
             values.update(vals)
+    # The witness keys are every attained (m, mc) pair; sorted, each m's
+    # first key holds its least mc and its last the greatest.
+    min_by_m: dict[int, int] = {}
+    max_by_m: dict[int, int] = {}
+    for m, val in sorted(wit):
+        min_by_m.setdefault(m, val)
+        max_by_m[m] = val
     result = SweepResult(
         n=n,
         graph_count=count,
         elapsed=time.perf_counter() - t0,
         jobs=jobs,
-        min_mc_by_m=dict(sorted(min_by_m.items())),
-        max_mc_by_m=dict(sorted(max_by_m.items())),
+        min_mc_by_m=min_by_m,
+        max_mc_by_m=max_by_m,
         witness_g6=dict(sorted(wit.items())),
         mc_by_mask=values,
     )

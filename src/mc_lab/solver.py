@@ -21,19 +21,17 @@ from dataclasses import dataclass
 from math import comb
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
-from .constructions import (
-    _coloring_from_groups,
-    _mask_components,
-    near_complete_coloring,
-    spanning_tree_coloring,
-)
+from .constructions import _coloring_from_groups, near_complete_coloring, spanning_tree_coloring
 from .formulas import split_graph_base_edges
 from .graph_core import (
     Graph,
+    _bfs_parents,
     _chromatic_number,
     _diameter,
     _has_cut_vertex,
     _is_triangle_free,
+    _mask_components,
+    _reach,
     _vertex_connectivity,
     bits,
     complement,
@@ -95,6 +93,15 @@ def is_s_perfectly_connected(g: Graph, s: int) -> bool:
     adjacent, and v has exactly one neighbor in each part.  Graphs with
     this structure are exactly the minimum-degree-s graphs whose mc
     exceeds m - n + s.
+
+    Nonadjacent vertices must share a part, so every part is a union of
+    atoms, the components of the complement of G - v.  No atom may hold
+    two neighbors of v, so the s = deg(v) anchored atoms (one neighbor
+    each) seed the s parts and the loose atoms (no neighbor) join them.
+    Distinct atoms are completely joined in G, so a part of two or more
+    atoms is connected, while an anchored atom that is disconnected in G
+    needs a loose atom of its own.  The split therefore exists iff the
+    disconnected anchored atoms are no more than the loose ones.
     """
     n = g.n
     if not 1 <= s <= n - 1:
@@ -103,57 +110,21 @@ def is_s_perfectly_connected(g: Graph, s: int) -> bool:
     for v in range(n):
         if g.degree(v) != s:
             continue
-        rest = full & ~(1 << v)
         nbr = g.adj[v]
-        # Nonadjacent vertices must share a part, so the atoms of any
-        # valid split are the components of the complement minus v.
         cadj = [full & ~(g.adj[x] | (1 << x) | (1 << v)) for x in range(n)]
-        atoms = _mask_components(cadj, rest)
-        if len(atoms) < s:
-            continue
-        acount = [(a & nbr).bit_count() for a in atoms]
-        if any(c > 1 for c in acount):
-            continue
-        if _group_atoms(g, atoms, acount, s):
-            return True
+        split = loose = 0
+        for atom in _mask_components(cadj, full & ~(1 << v)):
+            hits = (atom & nbr).bit_count()
+            if hits > 1:
+                break
+            if not hits:
+                loose += 1
+            elif _reach(g.adj, atom & -atom, atom) != atom:
+                split += 1
+        else:
+            if split <= loose:
+                return True
     return False
-
-
-def _group_atoms(g: Graph, atoms: list[int], acount: list[int], s: int) -> bool:
-    """Try to merge atoms into exactly s parts meeting the split rules."""
-    total = len(atoms)
-    parts: list[list[int]] = []  # [vertex mask, neighbor count]
-
-    def place(ai: int) -> bool:
-        if len(parts) + (total - ai) < s:
-            return False
-        if ai == total:
-            if len(parts) != s:
-                return False
-            for pm, pc in parts:
-                if pc != 1:
-                    return False
-                if len(_mask_components(g.adj, pm)) != 1:
-                    return False
-            return True
-        a, ac = atoms[ai], acount[ai]
-        for part in parts:
-            if part[1] + ac > 1:
-                continue
-            part[0] |= a
-            part[1] += ac
-            if place(ai + 1):
-                return True
-            part[0] &= ~a
-            part[1] -= ac
-        if len(parts) < s:
-            parts.append([a, ac])
-            if place(ai + 1):
-                return True
-            parts.pop()
-        return False
-
-    return place(0)
 
 
 def mc_upper_bounds(g: Graph) -> list[tuple[str, int]]:
@@ -175,10 +146,17 @@ def mc_upper_bounds(g: Graph) -> list[tuple[str, int]]:
         out.append(("upper:min-degree", m - n + s + 1))
     else:
         out.append(("upper:min-degree", m - n + s))
+    out += [(f"upper:edge-window(t={t})", bound) for t, bound in _edge_windows(n, m)]
+    return out
+
+
+def _edge_windows(n: int, m: int) -> list[tuple[int, int]]:
+    """(t, m - t + 1) for each t whose split-graph window [base, base + t - 2] holds m."""
+    out = []
     for t in range(2, n):
         base = split_graph_base_edges(n, t)
         if base <= m <= base + t - 2:
-            out.append((f"upper:edge-window(t={t})", m - t + 1))
+            out.append((t, m - t + 1))
     return out
 
 
@@ -231,11 +209,7 @@ def _cheap_bounds(g: Graph) -> tuple[int, int]:
     n, m = g.n, g.m
     lb = near_complete_coloring(g).color_count
     delta = min(g.degree(v) for v in range(n))
-    ub = m - n + delta + 1
-    for t in range(2, n):
-        base = split_graph_base_edges(n, t)
-        if base <= m <= base + t - 2:
-            ub = min(ub, m - t + 1)
+    ub = min([m - n + delta + 1] + [bound for _, bound in _edge_windows(n, m)])
     return lb, ub
 
 
@@ -389,15 +363,8 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     # Each class is the BFS tree of G[S] from its lowest vertex.
     groups = []
     for s in best_sets:
-        seen = s & -s
-        queue = [seen.bit_length() - 1]
-        tree = []
-        for u in queue:
-            for w in bits(adj[u] & s & ~seen):
-                seen |= 1 << w
-                tree.append((u, w))
-                queue.append(w)
-        groups.append(tree)
+        parent = _bfs_parents(adj, s)
+        groups.append([(parent[w], w) for w in bits(s & (s - 1))])
     return value, _coloring_from_groups(g, groups)
 
 

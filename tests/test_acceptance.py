@@ -29,7 +29,6 @@ from mc_lab.graph_core import (
     _is_triangle_free,
     _vertex_connectivity,
     complement,
-    complete_graph,
     edge_mask,
     enumerate_connected_graphs,
     from_edge_mask,

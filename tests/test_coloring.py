@@ -26,7 +26,6 @@ from mc_lab.graph_core import (
     cycle_graph,
     edge_list,
     from_edge_mask,
-    from_edges,
     path_graph,
 )
 

@@ -344,6 +344,14 @@ def test_vertex_connectivity_against_brute_force(g, cap):
         assert min(_local_connectivity(g.adj, s, t, cap), cap) == min(kappa, cap)
 
 
+# Two disjoint triangles: removing any vertex leaves the rest disconnected.
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs())
+@example(from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+def test_cut_vertex_against_brute_force(g):
+    assert _has_cut_vertex(g) == _brute_cut_vertex(g)
+
+
 def test_metric_inequalities_sweep():
     for n in (3, 4, 5):
         for g in enumerate_connected_graphs(n):

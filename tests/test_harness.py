@@ -17,7 +17,6 @@ from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, 
 from mc_lab.formulas import max_edges_capping, min_edges_forcing
 from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
 from mc_lab.harness import (
-    CertificationReport,
     certify,
     empirical_cap_table,
     empirical_force_table,

@@ -6,6 +6,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_lab.coloring import coloring_to_json, is_simple, verify_mc
 from mc_lab.constructions import (
@@ -237,6 +239,22 @@ def test_perfectly_connected_matches_brute_force():
                 assert is_s_perfectly_connected(g, s) == _brute_perfectly_connected(
                     g, s
                 ), (g, s)
+
+
+@st.composite
+def _graphs_n6_n7(draw):
+    # dense enough that many vertices admit splits; sparse draws may be disconnected
+    n = draw(st.integers(6, 7))
+    density = draw(st.sampled_from([0.4, 0.6, 0.75, 0.85, 0.95]))
+    rng = draw(st.randoms(use_true_random=False))
+    return from_edges(n, [e for e in edge_list(n) if rng.random() < density])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_graphs_n6_n7())
+def test_perfectly_connected_matches_brute_force_n6_n7(g):
+    for s in range(1, g.n):
+        assert is_s_perfectly_connected(g, s) == _brute_perfectly_connected(g, s), s
 
 
 # ---------------------------------------------------------------------------
