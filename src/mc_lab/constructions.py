@@ -15,6 +15,7 @@ from .graph_core import (
     Edge,
     Graph,
     _bfs_parents,
+    _check_order,
     _mask_components,
     bits,
     cycle_graph,
@@ -186,20 +187,15 @@ def complete_multipartite(sizes: list[int]) -> PartitionedGraph:
     if any(s < 1 for s in sizes):
         raise ValueError("class sizes must be positive")
     n = sum(sizes)
-    classes = []
+    _check_order(n)
+    full = (1 << n) - 1
+    classes, rows = [], []
     start = 0
     for s in sizes:
         classes.append(tuple(range(start, start + s)))
+        rows += [full & ~(((1 << s) - 1) << start)] * s
         start += s
-    full = (1 << n) - 1
-    rows = []
-    for cls in classes:
-        cmask = 0
-        for v in cls:
-            cmask |= 1 << v
-        for _ in cls:
-            rows.append(full & ~cmask)
-    g = Graph(n, [rows[v] for v in range(n)])
+    g = Graph(n, rows)
     return PartitionedGraph(g, tuple(classes))
 
 
@@ -244,6 +240,7 @@ def build_anchored_partition(n: int, t: int) -> PartitionedGraph:
     """
     if not 3 <= t <= n:
         raise ValueError(f"need 3 <= t <= n, got t={t}, n={n}")
+    _check_order(n)
     q, r = divmod(n, t)
     sizes = [q + 1] * r + [q] * (t - r)
     classes = []
@@ -297,6 +294,7 @@ def build_augmented_split_graph(n: int, t: int, extra: int) -> tuple[Graph, Edge
         raise ValueError(f"need 2 <= t <= n-1, got t={t}, n={n}")
     if not 0 <= extra <= t - 2:
         raise ValueError(f"need 0 <= extra <= t-2, got extra={extra}, t={t}")
+    _check_order(n)
     big = list(range(n - t, n))
     edges = [(u, v) for u in range(n - t) for v in range(u + 1, n)]
     inside = [(u, v) for i, u in enumerate(big) for v in big[i + 1 :]]
@@ -309,6 +307,18 @@ def build_augmented_split_graph(n: int, t: int, extra: int) -> tuple[Graph, Edge
     return g, col
 
 
+def _clique_plus_two(n: int, joined: bool) -> Graph:
+    """A clique on 0..n-3; n-2 sees vertex 0 and n-1 the other clique vertices."""
+    _check_order(n)
+    clique = range(n - 2)
+    edges = [(a, b) for a in clique for b in clique if a < b]
+    edges.append((0, n - 2))
+    edges += [(c, n - 1) for c in range(1, n - 2)]
+    if joined:
+        edges.append((n - 2, n - 1))
+    return from_edges(n, edges)
+
+
 def build_diameter_three_witness(n: int) -> Graph:
     """Densest-possible diameter-3 graph used as a threshold witness.
 
@@ -318,11 +328,7 @@ def build_diameter_three_witness(n: int) -> Graph:
     """
     if n < 5:
         raise ValueError(f"need n >= 5, got {n}")
-    clique = range(n - 2)
-    edges = [(a, b) for a in clique for b in clique if a < b]
-    edges.append((0, n - 2))
-    edges += [(c, n - 1) for c in range(1, n - 2)]
-    g = from_edges(n, edges)
+    g = _clique_plus_two(n, joined=False)
     assert g.m == comb(n, 2) - n + 1
     return g
 
@@ -340,11 +346,6 @@ def build_degree_two_witness(n: int) -> Graph:
         return path_graph(3)
     if n == 4:
         return cycle_graph(4)
-    clique = range(n - 2)
-    edges = [(a, b) for a in clique for b in clique if a < b]
-    edges.append((0, n - 2))
-    edges += [(c, n - 1) for c in range(1, n - 2)]
-    edges.append((n - 2, n - 1))
-    g = from_edges(n, edges)
+    g = _clique_plus_two(n, joined=True)
     assert g.m == comb(n, 2) - n + 2
     return g

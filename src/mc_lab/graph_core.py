@@ -3,15 +3,17 @@
 Vertices are 0..n-1 and every adjacency row is a Python int used as a
 bitset, which keeps the exhaustive sweeps and the solver's set algebra
 cheap.  The module covers construction, graph6 text I/O, complements,
-standard invariants (degrees, diameter, exact chromatic number, exact vertex
-connectivity, cut vertices, triangle-freeness), labeled enumeration of
-connected graphs, and deterministic BFS spanning trees.
+standard invariants (degrees, exact chromatic number, exact vertex
+connectivity, cut vertices, triangle-freeness, a nonadjacent pair with
+no common neighbour), labeled enumeration of connected graphs, and
+deterministic BFS spanning trees.
 
 One reach routine, ``_reach``, answers every connectivity question: a
 graph is connected when vertex 0 reaches everything, components are
 repeated reaches, and a cut vertex is one whose removal leaves a rest
 that its lowest vertex does not reach.  ``_bfs_parents`` is the one
-tree-building BFS.
+tree-building BFS; no other BFS is left outside these two (the augmenting
+paths of ``_local_connectivity`` search the split graph, not G).
 
 Vertex connectivity follows Even's pair selection: only nonadjacent
 pairs whose lower vertex is at most the best separator found so far are
@@ -22,7 +24,6 @@ the count reaches the best separator.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -30,6 +31,11 @@ Edge = tuple[int, int]
 
 MAX_VERTICES = 62
 ENUMERATION_MAX_VERTICES = 8
+
+
+def _check_order(n: int) -> None:
+    if not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 2..{MAX_VERTICES}")
 
 
 class Graph6Error(ValueError):
@@ -50,9 +56,8 @@ class Graph:
     __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, adj) -> None:
+        _check_order(n)
         rows = tuple(adj)
-        if not 2 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 2..{MAX_VERTICES}")
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -118,8 +123,7 @@ def edge_index(n: int) -> dict[Edge, int]:
 
 
 def from_edges(n: int, edges) -> Graph:
-    if not 2 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 2..{MAX_VERTICES}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -281,33 +285,6 @@ def is_connected(g: Graph) -> bool:
     return _reach(g.adj, 1, full) == full
 
 
-def _reach_and_eccentricity(adj: tuple[int, ...], src: int) -> tuple[int, int]:
-    seen = 1 << src
-    frontier = seen
-    ecc = 0
-    while True:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        nxt &= ~seen
-        if not nxt:
-            return seen, ecc
-        seen |= nxt
-        frontier = nxt
-        ecc += 1
-
-
-def _diameter(g: Graph) -> int | float:
-    full = (1 << g.n) - 1
-    diam = 0
-    for src in range(g.n):
-        seen, ecc = _reach_and_eccentricity(g.adj, src)
-        if seen != full:
-            return math.inf
-        diam = max(diam, ecc)
-    return diam
-
-
 def _is_triangle_free(g: Graph) -> bool:
     for u in range(g.n):
         row = g.adj[u] >> (u + 1)
@@ -315,6 +292,20 @@ def _is_triangle_free(g: Graph) -> bool:
             if g.adj[u] & g.adj[u + 1 + v]:
                 return False
     return True
+
+
+def _has_far_pair(g: Graph) -> bool:
+    """Whether some nonadjacent pair has no common neighbour.
+
+    On a connected graph this is diameter at least 3.
+    """
+    adj = g.adj
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        for v in bits(full & ~adj[u] >> (u + 1) << (u + 1)):
+            if not adj[u] & adj[v]:
+                return True
+    return False
 
 
 def _has_cut_vertex(g: Graph) -> bool:

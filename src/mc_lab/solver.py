@@ -27,8 +27,8 @@ from .graph_core import (
     Graph,
     _bfs_parents,
     _chromatic_number,
-    _diameter,
     _has_cut_vertex,
+    _has_far_pair,
     _is_triangle_free,
     _mask_components,
     _reach,
@@ -166,7 +166,25 @@ def baseline_fast_path(g: Graph) -> str | None:
     Checked in increasing cost order: a max-degree inequality,
     triangle-freeness, a cut vertex, diameter at least 3, and a
     4-connected complement.  Only valid for n > 3, so smaller graphs
-    always get None.
+    always get None.  The last two read the adjacency rows:
+
+    - Diameter at least 3 on a connected graph means some nonadjacent
+      pair has no common neighbour (``_has_far_pair``).
+    - The complement has minimum degree n - 1 - dmax, so it can only be
+      4-connected when dmax <= n - 5, and it is built only then.  Under
+      that gate the condition never comes first for n <= 11: with
+      2m <= n * dmax, the max-degree inequality holds whenever
+      n^2 - 2n * dmax + 3dmax - 3 > 0, which falls as dmax grows and at
+      dmax = n - 5 reads -n^2 + 13n - 18 > 0, true for n <= 11.
+
+    Triangle-freeness never comes first for n <= 15.  Take v of maximum
+    degree; N(v) is independent, so every edge has an end outside N(v)
+    and m <= dmax * x with x = n - dmax.  The max-degree inequality then
+    holds whenever 2x^2 - (n + 3)x + 3n - 3 > 0, whose discriminant
+    n^2 - 18n + 33 is negative for 3 <= n <= 15.  It stays because
+    ``compute --method fast`` takes n up to 62, and there it is the only
+    condition that closes complete bipartite graphs such as K_{5,11}
+    (the one case at n = 16) and K_{6,14}.
     """
     if not is_connected(g):
         raise ValueError("requires a connected graph")
@@ -180,10 +198,9 @@ def baseline_fast_path(g: Graph) -> str | None:
         return "triangle-free"
     if _has_cut_vertex(g):
         return "cut-vertex"
-    if _diameter(g) >= 3:
+    if _has_far_pair(g):
         return "diameter"
-    co = complement(g)
-    if min(co.degree(v) for v in range(n)) >= 4 and _vertex_connectivity(co) >= 4:
+    if dmax <= n - 5 and _vertex_connectivity(complement(g)) >= 4:
         return "complement-connectivity"
     return None
 

@@ -13,8 +13,8 @@ from mc_lab.graph_core import (
     Graph,
     Graph6Error,
     _chromatic_number,
-    _diameter,
     _has_cut_vertex,
+    _has_far_pair,
     _is_triangle_free,
     _local_connectivity,
     _vertex_connectivity,
@@ -272,7 +272,7 @@ def _degrees(g):
 
 
 def _invariants_match_brute_force(g):
-    assert _diameter(g) == _brute_diameter(g)
+    assert _has_far_pair(g) == (_brute_diameter(g) >= 3)
     assert _chromatic_number(g) == _brute_chromatic(g)
     assert _vertex_connectivity(g) == _brute_vertex_connectivity(g)
     assert _has_cut_vertex(g) == _brute_cut_vertex(g)
@@ -281,21 +281,22 @@ def _invariants_match_brute_force(g):
 
 def test_metrics_known_graphs():
     k5 = complete_graph(5)
-    assert (*_degrees(k5), _diameter(k5)) == (4, 4, 1)
+    assert _degrees(k5) == (4, 4) and not _has_far_pair(k5)
     assert (_vertex_connectivity(k5), _chromatic_number(k5)) == (4, 5)
     assert not _is_triangle_free(k5) and not _has_cut_vertex(k5)
 
     p4 = path_graph(4)
-    assert (*_degrees(p4), _diameter(p4)) == (2, 1, 3)
+    assert _degrees(p4) == (2, 1) and _has_far_pair(p4)
     assert (_vertex_connectivity(p4), _chromatic_number(p4)) == (1, 2)
     assert _is_triangle_free(p4) and _has_cut_vertex(p4)
 
     c5 = cycle_graph(5)
-    assert (_diameter(c5), _vertex_connectivity(c5), _chromatic_number(c5)) == (2, 2, 3)
+    assert not _has_far_pair(c5)
+    assert (_vertex_connectivity(c5), _chromatic_number(c5)) == (2, 3)
     assert _chromatic_number(cycle_graph(6)) == 2
 
     two_edges = from_edges(4, [(0, 1), (2, 3)])
-    assert _diameter(two_edges) == math.inf
+    assert _has_far_pair(two_edges)
     assert _vertex_connectivity(two_edges) == 0
 
 
@@ -350,6 +351,12 @@ def test_vertex_connectivity_against_brute_force(g, cap):
 @example(from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 def test_cut_vertex_against_brute_force(g):
     assert _has_cut_vertex(g) == _brute_cut_vertex(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs())
+def test_far_pair_against_brute_force(g):
+    assert _has_far_pair(g) == (_brute_diameter(g) >= 3)
 
 
 def test_metric_inequalities_sweep():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from mc_lab.solver import mc_exact
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, stdin=None, env_extra=None):
+def run_cli(*args, stdin=None, env_extra=None, preexec_fn=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -37,6 +38,7 @@ def run_cli(*args, stdin=None, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        preexec_fn=preexec_fn,
     )
     return proc
 
@@ -394,6 +396,29 @@ def test_cli_construct_errors():
     assert run_cli("construct", "anchored", "--n", "6").returncode == 1
     assert run_cli("construct", "split", "--n", "6", "--t", "3", "--extra", "4").returncode == 1
     assert run_cli("construct", "multipartite", "--sizes", "3").returncode == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# The 1 GiB limit turns a builder that does O(n^2) work before checking n
+# into a quick MemoryError traceback instead of exhausting the host's memory.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("split", "--n", "200000", "--t", "2"),
+        ("anchored", "--n", "200000", "--t", "3"),
+        ("multipartite", "--sizes", "100000,100000"),
+        ("diam3", "--n", "200000"),
+        ("deg2", "--n", "200000"),
+    ],
+)
+def test_cli_construct_rejects_oversized_families(args):
+    proc = run_cli("construct", *args, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [json.dumps({"error": "vertex count 200000 outside 2..62"})]
 
 
 def test_cli_table_output(tmp_path):

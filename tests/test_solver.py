@@ -19,7 +19,6 @@ from mc_lab.constructions import (
     multipartite_star_coloring,
 )
 from mc_lab.graph_core import (
-    _diameter,
     _has_cut_vertex,
     _is_triangle_free,
     _vertex_connectivity,
@@ -44,6 +43,7 @@ from mc_lab.solver import (
     mc_oracle_partitions,
     mc_upper_bounds,
 )
+from test_graph_core import _brute_diameter
 
 
 def _without(n, missing):
@@ -130,6 +130,10 @@ def test_fast_path_reasons():
     assert baseline_fast_path(complete_graph(4)) is None
     assert baseline_fast_path(path_graph(3)) is None  # too small
     assert baseline_fast_path(_without(5, [(3, 4)])) is None
+    # Past n = 15 triangle-freeness can come first: K_{5,11} is the one
+    # such shape at n = 16, K_{6,14} one of many above it.
+    assert baseline_fast_path(complete_multipartite([5, 11]).graph) == "triangle-free"
+    assert baseline_fast_path(complete_multipartite([6, 14]).graph) == "triangle-free"
 
 
 def test_fast_path_rejects_disconnected():
@@ -149,7 +153,7 @@ def _conditions(g):
         ("max-degree", (n - dmax) * (n - 3) > 2 * m - 3 * (n - 1)),
         ("triangle-free", _is_triangle_free(g)),
         ("cut-vertex", _has_cut_vertex(g)),
-        ("diameter", _diameter(g) >= 3),
+        ("diameter", _brute_diameter(g) >= 3),
         ("complement-connectivity", _vertex_connectivity(complement(g)) >= 4),
     ]
 
@@ -164,11 +168,29 @@ def test_fast_path_returns_first_holding_condition():
 
 def test_fast_path_complement_connectivity():
     # The square of the 12-cycle is 4-regular and 4-connected; no earlier
-    # condition holds for its complement.
+    # condition holds for its complement, whose maximum degree is n - 5.
     square = from_edges(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
     g = complement(square)
     assert baseline_fast_path(g) == "complement-connectivity"
     assert next(name for name, holds in _conditions(g) if holds) == "complement-connectivity"
+
+
+@st.composite
+def _connected_graphs_n7_n20(draw):
+    # a random spanning tree keeps every draw connected; the density
+    # sets how many other pairs become edges
+    n = draw(st.integers(7, 20))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    return from_edges(n, tree + [e for e in edge_list(n) if rng.random() < density])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_connected_graphs_n7_n20())
+def test_fast_path_returns_first_holding_condition_n7_n20(g):
+    expect = next((name for name, holds in _conditions(g) if holds), None)
+    assert baseline_fast_path(g) == expect
 
 
 # ---------------------------------------------------------------------------
