@@ -15,6 +15,20 @@ that its lowest vertex does not reach.  ``_bfs_parents`` is the one
 tree-building BFS; no other BFS is left outside these two (the augmenting
 paths of ``_local_connectivity`` search the split graph, not G).
 
+``_has_cut_vertex`` answers False at once when 2 * delta >= n, since
+then kappa >= 2 * delta + 2 - n >= 2.  Proof: let S separate G, with
+|S| = k, and let A and B be two components of G - S.  A vertex of A has
+all its neighbours in A and S, so delta <= |A| - 1 + k, and likewise for
+B; adding the two and using |A| + |B| <= n - k gives 2 * delta <= n + k - 2.
+With k = 0 this says such a graph is also connected, so the answer agrees
+with the convention that a disconnected graph has a cut vertex.  Only
+below that threshold does it run a reach per vertex.
+
+The chromatic number keeps its color classes as bitsets.  The greedy
+upper bound puts each vertex, in order of falling degree, into the first
+class that holds none of its neighbours, and the exact ``_k_colorable``
+backtracking tests ``adj[u] & classes[c]`` for each of its k classes.
+
 Vertex connectivity follows Even's pair selection: only nonadjacent
 pairs whose lower vertex is at most the best separator found so far are
 tried.  Each pair counts its common neighbours, then finds the remaining
@@ -313,10 +327,11 @@ def _has_cut_vertex(g: Graph) -> bool:
 
     By this definition a disconnected graph on three or more vertices has one.
     """
-    if g.n < 3:
+    n = g.n
+    if n < 3 or 2 * min(row.bit_count() for row in g.adj) >= n:
         return False
-    full = (1 << g.n) - 1
-    for v in range(g.n):
+    full = (1 << n) - 1
+    for v in range(n):
         rest = full & ~(1 << v)
         if _reach(g.adj, rest & -rest, rest) != rest:
             return True
@@ -413,6 +428,8 @@ def _greedy_clique_lower(g: Graph, order: list[int]) -> int:
         clique = 1
         cand = g.adj[u]
         for w in order:
+            if not cand:
+                break
             if cand >> w & 1:
                 clique += 1
                 cand &= g.adj[w]
@@ -421,25 +438,23 @@ def _greedy_clique_lower(g: Graph, order: list[int]) -> int:
 
 
 def _k_colorable(g: Graph, order: list[int], k: int) -> bool:
+    adj = g.adj
     n = g.n
-    color = [-1] * n
+    classes = [0] * k
 
     def assign(i: int, used: int) -> bool:
         if i == n:
             return True
         u = order[i]
-        forbidden = 0
-        for w in bits(g.adj[u]):
-            if color[w] >= 0:
-                forbidden |= 1 << color[w]
-        limit = min(k, used + 1)  # new colors are interchangeable
-        for c in range(limit):
-            if forbidden >> c & 1:
+        row = adj[u]
+        bit = 1 << u
+        for c in range(min(k, used + 1)):  # new colors are interchangeable
+            if row & classes[c]:
                 continue
-            color[u] = c
+            classes[c] |= bit
             if assign(i + 1, max(used, c + 1)):
                 return True
-            color[u] = -1
+            classes[c] ^= bit
         return False
 
     return assign(0, 0)
@@ -448,17 +463,18 @@ def _k_colorable(g: Graph, order: list[int], k: int) -> bool:
 def _chromatic_number(g: Graph) -> int:
     if g.m == 0:
         return 1
-    order = sorted(range(g.n), key=lambda u: (-g.degree(u), u))
+    adj = g.adj
+    order = sorted(range(g.n), key=lambda u: (-adj[u].bit_count(), u))
     # greedy upper bound
-    color = {}
-    ub = 0
+    classes: list[int] = []
     for u in order:
-        taken = {color[w] for w in bits(g.adj[u]) if w in color}
-        c = 0
-        while c in taken:
-            c += 1
-        color[u] = c
-        ub = max(ub, c + 1)
+        for c, cls in enumerate(classes):
+            if not adj[u] & cls:
+                classes[c] = cls | 1 << u
+                break
+        else:
+            classes.append(1 << u)
+    ub = len(classes)
     lb = _greedy_clique_lower(g, order)
     for k in range(lb, ub):
         if _k_colorable(g, order, k):

@@ -62,6 +62,34 @@ def _brute_chromatic(g):
     raise AssertionError("unreachable")
 
 
+def _subset_dp_chromatic(g):
+    # chi is the least number of independent sets that cover V; cover[S]
+    # is that number for the vertex set S, taking the set that holds S's
+    # lowest vertex first
+    n = g.n
+    indep = [True] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        u = low.bit_length() - 1
+        rest = mask ^ low
+        indep[mask] = indep[rest] and not any(
+            rest >> v & 1 and g.has_edge(u, v) for v in range(n)
+        )
+    cover = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        best = n
+        while True:
+            if indep[sub | low]:
+                best = min(best, cover[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        cover[mask] = best
+    return cover[-1]
+
+
 def _connected_after_removal(g, removed):
     keep = [v for v in range(g.n) if v not in removed]
     if len(keep) <= 1:
@@ -299,6 +327,9 @@ def test_metrics_known_graphs():
     assert _has_far_pair(two_edges)
     assert _vertex_connectivity(two_edges) == 0
 
+    assert (_chromatic_number(_CROWN), _chromatic_number(_GROETZSCH)) == (2, 4)
+    assert _is_triangle_free(_GROETZSCH)
+
 
 def test_metrics_against_brute_force_n4():
     for mask in range(1, 1 << 6):
@@ -345,10 +376,39 @@ def test_vertex_connectivity_against_brute_force(g, cap):
         assert min(_local_connectivity(g.adj, s, t, cap), cap) == min(kappa, cap)
 
 
+# Crown graph S_4^0 (u_i = 2i, v_i = 2i + 1, u_i ~ v_j for i != j): the
+# greedy coloring in degree order pairs u_i with v_i and uses 4 colors,
+# while chi = 2.
+_CROWN = from_edges(8, [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j])
+# Groetzsch graph: a 5-cycle, a shadow vertex 5 + i joined to the cycle
+# neighbours of i, and a hub 10 joined to every shadow; chi = 4, omega = 2.
+_GROETZSCH = from_edges(
+    11,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    + [(5 + i, 10) for i in range(5)],
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_graphs())
+@example(_CROWN)
+@example(_GROETZSCH)
+def test_chromatic_number_against_subset_dp(g):
+    assert _chromatic_number(g) == _subset_dp_chromatic(g)
+
+
 # Two disjoint triangles: removing any vertex leaves the rest disconnected.
+# The next four sit at the 2 * delta >= n shortcut: the bowtie (n = 5) and
+# two K_4 sharing a vertex (n = 7) have 2 * delta = n - 1 and a cut vertex;
+# C_4 and K_{3,3} have 2 * delta = n and none.
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(small_graphs())
 @example(from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example(from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]))
+@example(from_edges(7, list(combinations(range(4), 2)) + list(combinations(range(3, 7), 2))))
+@example(cycle_graph(4))
+@example(from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]))
 def test_cut_vertex_against_brute_force(g):
     assert _has_cut_vertex(g) == _brute_cut_vertex(g)
 

@@ -252,6 +252,13 @@ def test_perfectly_connected_known_cases():
     assert not is_s_perfectly_connected(cycle_graph(4), 2)
     assert not is_s_perfectly_connected(cycle_graph(5), 2)
     assert not is_s_perfectly_connected(build_degree_two_witness(5), 2)
+    # G - 0 has the atoms {1, 2}, {3, 4}, {5}, {6}: two anchored atoms
+    # that G leaves disconnected, each paired with a loose one.  In the
+    # complement of G all seven vertices form one component, so a test
+    # that took that component minus 0 as a single atom would say False.
+    assert is_s_perfectly_connected(
+        _without(7, [(0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (3, 4)]), 2
+    )
 
 
 def test_perfectly_connected_matches_brute_force():
