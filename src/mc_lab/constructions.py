@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Sequence
 
 from .coloring import EdgeColoring
 from .graph_core import (
@@ -108,6 +109,18 @@ def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:
     return EdgeColoring(g, colors)
 
 
+def _star_groups(centers: Sequence[int], parts: Sequence[Sequence[int]]) -> list[list[Edge]]:
+    """One star from each part's center to the whole next part, cyclically.
+
+    With two parts both stars would hold the edge between the centers, so
+    they become one double star instead.
+    """
+    if len(parts) == 2:
+        (a, b), (xs, ys) = centers, parts
+        return [[(a, y) for y in ys] + [(b, x) for x in xs if x != a]]
+    return [[(a, y) for y in parts[(j + 1) % len(parts)]] for j, a in enumerate(centers)]
+
+
 def spanning_tree_coloring(g: Graph) -> EdgeColoring:
     """One color on a BFS spanning tree, fresh colors elsewhere: m - n + 2 colors.
 
@@ -160,21 +173,10 @@ def near_complete_coloring(g: Graph) -> EdgeColoring:
         # Few vertices miss anything; a single star from a full-degree
         # vertex reaches all of them.
         center = next(u for u in range(n) if g.degree(u) == n - 1)
-        groups = [[(min(center, u), max(center, u)) for u in bits(tilde)]]
+        groups = [[(center, u) for u in bits(tilde)]]
     else:
-        comps = _mask_components(cadj, tilde)
-        if len(comps) == 2:
-            a = (comps[0] & -comps[0]).bit_length() - 1
-            b = (comps[1] & -comps[1]).bit_length() - 1
-            double_star = [(min(a, y), max(a, y)) for y in bits(comps[1])]
-            double_star += [(min(b, x), max(b, x)) for x in bits(comps[0]) if x != a]
-            groups = [double_star]
-        else:
-            groups = []
-            for j, comp in enumerate(comps):
-                nxt = comps[(j + 1) % len(comps)]
-                a = (comp & -comp).bit_length() - 1
-                groups.append([(min(a, y), max(a, y)) for y in bits(nxt)])
+        comps = [list(bits(comp)) for comp in _mask_components(cadj, tilde)]
+        groups = _star_groups([comp[0] for comp in comps], comps)
     col = _coloring_from_groups(g, groups)
     assert col.waste <= p, f"waste {col.waste} exceeds missing-edge count {p}"
     return col
@@ -213,21 +215,9 @@ def multipartite_star_coloring(pg: PartitionedGraph) -> EdgeColoring:
         for v in cls:
             if g.adj[v] != full & ~cmask:
                 raise ValueError("graph is not complete multipartite over these classes")
-    r = len(pg.classes)
-    if r == 2:
-        a = pg.classes[0][0]
-        b = pg.classes[1][0]
-        star = [(min(a, y), max(a, y)) for y in pg.classes[1]]
-        star += [(min(b, x), max(b, x)) for x in pg.classes[0] if x != a]
-        groups = [star]
-    else:
-        groups = []
-        for j in range(r):
-            a = pg.classes[j][0]
-            nxt = pg.classes[(j + 1) % r]
-            groups.append([(min(a, y), max(a, y)) for y in nxt])
+    groups = _star_groups([cls[0] for cls in pg.classes], pg.classes)
     col = _coloring_from_groups(g, groups)
-    assert col.color_count == g.m - g.n + r
+    assert col.color_count == g.m - g.n + len(pg.classes)
     return col
 
 
@@ -271,12 +261,7 @@ def anchored_partition_coloring(pg: PartitionedGraph) -> EdgeColoring:
     t = len(pg.classes)
     if pg.anchors is None or build_anchored_partition(n, t) != pg:
         raise ValueError("not a graph built by build_anchored_partition")
-    groups = []
-    for j in range(t):
-        a = pg.anchors[j]
-        nxt = pg.classes[(j + 1) % t]
-        groups.append([(min(a, y), max(a, y)) for y in nxt])
-    col = _coloring_from_groups(pg.graph, groups)
+    col = _coloring_from_groups(pg.graph, _star_groups(pg.anchors, pg.classes))
     assert col.color_count == comb(n, 2) - 2 * n + 2 * t
     return col
 

@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 Edge = tuple[int, int]
 
 MAX_VERTICES = 62
-ENUMERATION_MAX_VERTICES = 8
+ENUMERATION_MAX_VERTICES = 7
 
 
 def _check_order(n: int) -> None:
@@ -485,18 +485,18 @@ def _chromatic_number(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # enumeration and spanning trees
 
-def enumerate_connected_graphs(n: int, m_filter: int | None = None) -> Iterator[Graph]:
+def enumerate_connected_graphs(n: int, masks: range | None = None) -> Iterator[Graph]:
     """Yield every connected labeled graph on vertices 0..n-1.
 
-    Graphs appear in ascending edge-mask order over ``edge_list(n)``; pass
-    ``m_filter`` to restrict to one edge count.  Bounded at n <= 8 because
-    the mask space doubles per extra pair.
+    Graphs appear in ascending edge-mask order over ``edge_list(n)``;
+    ``masks`` restricts the walk to a range of edge masks, which is how
+    the parallel sweep splits its work.  Bounded at n <= 7 (1,866,256
+    graphs) because the mask space doubles per extra pair.
     """
     if not 2 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"enumeration supports 2..{ENUMERATION_MAX_VERTICES} vertices, got {n}")
-    for mask in range(1 << len(edge_list(n))):
-        m = mask.bit_count()
-        if m < n - 1 or (m_filter is not None and m != m_filter):
+    for mask in range(1 << len(edge_list(n))) if masks is None else masks:
+        if mask.bit_count() < n - 1:
             continue
         g = from_edge_mask(n, mask)
         if is_connected(g):

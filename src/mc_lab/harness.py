@@ -1,10 +1,13 @@
 """Exhaustive sweeps, empirical threshold tables, certification, and the CLI.
 
-The sweep enumerates every connected labeled graph on n vertices, solves
-each one exactly, and aggregates per-edge-count mc statistics.  The
-empirical threshold tables derived from a sweep are compared against the
-closed forms by ``certify``, which is also the backbone of the command
-line tool installed as ``mc-lab``.
+The sweep walks ``graph_core.enumerate_connected_graphs`` over every
+connected labeled graph on n <= 7 vertices, solves each one exactly, and
+aggregates per-edge-count mc statistics.  A parallel sweep hands each
+worker process one range of edge masks of that same walk.  Nothing is
+cached: every call sweeps afresh, and ``certify`` sweeps once and derives
+both empirical threshold tables from that one ``SweepResult`` before
+comparing them against the closed forms.  ``certify`` is also the
+backbone of the command line tool installed as ``mc-lab``.
 """
 
 from __future__ import annotations
@@ -37,24 +40,11 @@ from .graph_core import (
     Graph6Error,
     edge_list,
     emit_graph6,
-    from_edge_mask,
+    enumerate_connected_graphs,
     is_connected,
     parse_graph6,
 )
 from .solver import ExactSolveRefusedError, _bounds, baseline_fast_path, mc_exact
-
-HARD_CAP_ENV = "MC_LAB_HARD_CAP"
-DEFAULT_HARD_CAP = 7
-
-
-def _hard_cap() -> int:
-    raw = os.environ.get(HARD_CAP_ENV)
-    if raw is None:
-        return DEFAULT_HARD_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{HARD_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,73 +63,48 @@ class SweepResult:
     min_mc_by_m: dict[int, int]
     max_mc_by_m: dict[int, int]
     witness_g6: dict[tuple[int, int], str]
-    mc_by_mask: dict[int, int] | None = None
 
 
-def _sweep_chunk(args: tuple[int, int, int, bool]):
-    """Solve every connected graph whose edge mask lies in [start, stop)."""
-    n, start, stop, keep = args
+def _sweep_chunk(args: tuple[int, range]):
+    """Solve every connected graph on n vertices whose edge mask lies in ``masks``."""
+    n, masks = args
     count = 0
     wit: dict[tuple[int, int], str] = {}
-    values: dict[int, int] | None = {} if keep else None
-    for mask in range(start, stop):
-        if mask.bit_count() < n - 1:
-            continue
-        g = from_edge_mask(n, mask)
-        if not is_connected(g):
-            continue
+    for g in enumerate_connected_graphs(n, masks):
         val = mc_exact(g).value
         count += 1
         g6 = emit_graph6(g)
         key = (g.m, val)
         if key not in wit or g6 < wit[key]:
             wit[key] = g6
-        if values is not None:
-            values[mask] = val
-    return count, wit, values
+    return count, wit
 
 
-_SWEEP_CACHE: dict[int, SweepResult] = {}
-
-
-def sweep(n: int, jobs: int = 1, keep_values: bool = False) -> SweepResult:
+def sweep(n: int, jobs: int = 1) -> SweepResult:
     """Solve all connected labeled graphs on n vertices and aggregate.
 
-    Results are cached per n for the process lifetime.  ``keep_values``
-    additionally records mc per edge mask (the mask indexes the
-    lexicographic vertex-pair list), which sweeps that skipped it do not
-    store, so asking for it may recompute.  Capped by MC_LAB_HARD_CAP
-    (default 7): a full n=7 sweep solves 1.8 million graphs.
+    Bounded at n <= ENUMERATION_MAX_VERTICES (7): a full n = 7 sweep
+    solves 1.8 million graphs.
     """
-    cap = _hard_cap()
-    if not 2 <= n <= min(cap, ENUMERATION_MAX_VERTICES):
-        raise ValueError(
-            f"sweep supports 2 <= n <= {min(cap, ENUMERATION_MAX_VERTICES)} "
-            f"(cap from {HARD_CAP_ENV}={cap}), got {n}"
-        )
-    cached = _SWEEP_CACHE.get(n)
-    if cached is not None and (not keep_values or cached.mc_by_mask is not None):
-        return cached
+    if not 2 <= n <= ENUMERATION_MAX_VERTICES:
+        raise ValueError(f"sweep supports 2 <= n <= {ENUMERATION_MAX_VERTICES}, got {n}")
     t0 = time.perf_counter()
     jobs = max(1, jobs)
     total = 1 << len(edge_list(n))
     if jobs == 1:
-        parts = [_sweep_chunk((n, 0, total, keep_values))]
+        parts = [_sweep_chunk((n, range(total)))]
     else:
         step = max(1, -(-total // (jobs * 4)))
-        argsets = [(n, s, min(s + step, total), keep_values) for s in range(0, total, step)]
+        argsets = [(n, range(s, min(s + step, total))) for s in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(_sweep_chunk, argsets))
     count = 0
     wit: dict[tuple[int, int], str] = {}
-    values: dict[int, int] | None = {} if keep_values else None
-    for c, w, vals in parts:
+    for c, w in parts:
         count += c
         for key, g6 in w.items():
             if key not in wit or g6 < wit[key]:
                 wit[key] = g6
-        if values is not None and vals is not None:
-            values.update(vals)
     # The witness keys are every attained (m, mc) pair; sorted, each m's
     # first key holds its least mc and its last the greatest.
     min_by_m: dict[int, int] = {}
@@ -147,7 +112,7 @@ def sweep(n: int, jobs: int = 1, keep_values: bool = False) -> SweepResult:
     for m, val in sorted(wit):
         min_by_m.setdefault(m, val)
         max_by_m[m] = val
-    result = SweepResult(
+    return SweepResult(
         n=n,
         graph_count=count,
         elapsed=time.perf_counter() - t0,
@@ -155,20 +120,17 @@ def sweep(n: int, jobs: int = 1, keep_values: bool = False) -> SweepResult:
         min_mc_by_m=min_by_m,
         max_mc_by_m=max_by_m,
         witness_g6=dict(sorted(wit.items())),
-        mc_by_mask=values,
     )
-    _SWEEP_CACHE[n] = result
-    return result
 
 
-def empirical_force_table(n: int, jobs: int = 1) -> dict[int, int]:
+def empirical_force_table(sw: SweepResult) -> dict[int, int]:
     """Observed minimum edge count guaranteeing mc >= k, for each k.
 
     Scans the sweep's per-edge-count mc minimum downward: the threshold
     sits one above the largest edge count still admitting a graph with
     mc <= k - 1, and n - 1 when no graph does.
     """
-    sw = sweep(n, jobs=jobs)
+    n = sw.n
     top = comb(n, 2)
     out: dict[int, int] = {}
     for k in range(1, top + 1):
@@ -181,14 +143,14 @@ def empirical_force_table(n: int, jobs: int = 1) -> dict[int, int]:
     return out
 
 
-def empirical_cap_table(n: int, jobs: int = 1) -> dict[int, int]:
+def empirical_cap_table(sw: SweepResult) -> dict[int, int]:
     """Observed maximum edge count keeping mc <= k for every graph, per k.
 
     Scans the per-edge-count mc maximum upward: the cap sits one below
     the smallest edge count admitting a graph with mc >= k + 1, and
     C(n,2) when none does.
     """
-    sw = sweep(n, jobs=jobs)
+    n = sw.n
     top = comb(n, 2)
     out: dict[int, int] = {}
     for k in range(1, top + 1):
@@ -277,8 +239,8 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
     """Certify the closed-form threshold tables against a full sweep."""
     t0 = time.perf_counter()
     sw = sweep(n, jobs=jobs)
-    force_obs = empirical_force_table(n, jobs=jobs)
-    cap_obs = empirical_cap_table(n, jobs=jobs)
+    force_obs = empirical_force_table(sw)
+    cap_obs = empirical_cap_table(sw)
     top = comb(n, 2)
     force_exp = {k: min_edges_forcing(n, k).value for k in range(1, top + 1)}
     cap_exp = {k: max_edges_capping(n, k).value for k in range(1, top + 1)}
@@ -364,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument(
         "--allow-slow",
         action="store_true",
-        help="confirm sweeps of n >= 7 (about 1.8 million graphs)",
+        help="confirm the n = 7 sweep (about 1.8 million graphs)",
     )
     return p
 
@@ -525,15 +487,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_certify(args) -> int:
     n = args.n
-    cap = _hard_cap()
-    if n > cap:
-        print(
-            json.dumps(
-                {"error": f"n={n} beyond hard cap {cap}; set {HARD_CAP_ENV} to override"}
-            )
-        )
-        return 1
-    if n >= 7 and not args.allow_slow:
+    if n == 7 and not args.allow_slow:
         print(
             json.dumps(
                 {"error": f"n={n} solves millions of graphs; pass --allow-slow to confirm"}

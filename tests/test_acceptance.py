@@ -42,25 +42,26 @@ from mc_lab.solver import (
 from test_graph_core import _brute_diameter
 
 
-def test_acceptance_01_oracle_equivalence(sweep3, sweep4, sweep5, sweep6):
+def test_acceptance_01_oracle_equivalence(mc_by_mask):
     checked = 0
-    for sw in (sweep3, sweep4, sweep5):
-        for mask, value in sw.mc_by_mask.items():
-            g = from_edge_mask(sw.n, mask)
-            assert mc_oracle_partitions(g) == value, (sw.n, mask)
+    for n in (3, 4, 5):
+        for mask, value in mc_by_mask(n).items():
+            g = from_edge_mask(n, mask)
+            assert mc_oracle_partitions(g) == value, (n, mask)
             checked += 1
     assert checked == 4 + 38 + 728
 
+    values6 = mc_by_mask(6)
     rng = random.Random(2026)
     sampled = set()
     while len(sampled) < 200:
         mask = rng.getrandbits(15)
-        if mask in sampled or mask not in sweep6.mc_by_mask:
+        if mask in sampled or mask not in values6:
             continue
         if mask.bit_count() > 12:
             continue
         g = from_edge_mask(6, mask)
-        assert mc_oracle_partitions(g) == sweep6.mc_by_mask[mask], mask
+        assert mc_oracle_partitions(g) == values6[mask], mask
         sampled.add(mask)
     print(
         "acceptance 01 PASS: partition oracle equals the solver on all "
@@ -70,8 +71,9 @@ def test_acceptance_01_oracle_equivalence(sweep3, sweep4, sweep5, sweep6):
 
 def test_acceptance_02_forcing_thresholds_certified(sweep3, sweep4, sweep5, sweep6):
     cells = 0
-    for n in (3, 4, 5, 6):
-        observed = empirical_force_table(n)
+    for sw in (sweep3, sweep4, sweep5, sweep6):
+        n = sw.n
+        observed = empirical_force_table(sw)
         for k in range(1, comb(n, 2) + 1):
             assert observed[k] == min_edges_forcing(n, k).value, (n, k)
             cells += 1
@@ -83,8 +85,9 @@ def test_acceptance_02_forcing_thresholds_certified(sweep3, sweep4, sweep5, swee
 
 def test_acceptance_03_capping_thresholds_certified(sweep3, sweep4, sweep5, sweep6):
     cells = 0
-    for n in (3, 4, 5, 6):
-        observed = empirical_cap_table(n)
+    for sw in (sweep3, sweep4, sweep5, sweep6):
+        n = sw.n
+        observed = empirical_cap_table(sw)
         for k in range(1, comb(n, 2) + 1):
             assert observed[k] == max_edges_capping(n, k).value, (n, k)
             cells += 1
@@ -163,11 +166,10 @@ def test_acceptance_06_baseline_conditions_regression():
     )
 
 
-def test_acceptance_07_upper_bound_regression(sweep3, sweep4, sweep5, sweep6):
+def test_acceptance_07_upper_bound_regression(mc_by_mask):
     checked = 0
-    for sw in (sweep3, sweep4, sweep5, sweep6):
-        n = sw.n
-        for mask, mc in sw.mc_by_mask.items():
+    for n in (3, 4, 5, 6):
+        for mask, mc in mc_by_mask(n).items():
             g = from_edge_mask(n, mask)
             m = g.m
             assert mc <= m - n + _chromatic_number(g), mask
@@ -185,7 +187,7 @@ def test_acceptance_07_upper_bound_regression(sweep3, sweep4, sweep5, sweep6):
     )
 
 
-def test_acceptance_08_near_complete_achievability(sweep6):
+def test_acceptance_08_near_complete_achievability():
     checked = 0
     for n in (2, 3, 4, 5, 6):
         for g in enumerate_connected_graphs(n):
@@ -201,11 +203,10 @@ def test_acceptance_08_near_complete_achievability(sweep6):
     )
 
 
-def test_acceptance_09_spanning_subgraph_inheritance(sweep3, sweep4, sweep5):
+def test_acceptance_09_spanning_subgraph_inheritance(mc_by_mask):
     groundings = 0
-    for sw in (sweep3, sweep4, sweep5):
-        n = sw.n
-        values = sw.mc_by_mask
+    for n in (3, 4, 5):
+        values = mc_by_mask(n)
         for mask, mc in values.items():
             if mc != mask.bit_count() - n + 2:
                 continue

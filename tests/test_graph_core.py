@@ -441,16 +441,33 @@ def test_connected_graph_counts():
 
 def test_connected_counts_by_edge_count_n5():
     per_m = {4: 125, 5: 222, 6: 205, 7: 120, 8: 45, 9: 10, 10: 1}
+    graphs = list(enumerate_connected_graphs(5))
     for m, expect in per_m.items():
-        got = list(enumerate_connected_graphs(5, m_filter=m))
+        got = [g for g in graphs if g.m == m]
         assert len(got) == expect
-        assert all(g.m == m and is_connected(g) for g in got)
+        assert all(is_connected(g) for g in got)
     assert sum(per_m.values()) == 728
 
 
 def test_tree_counts_match_cayley_formula():
-    assert sum(1 for _ in enumerate_connected_graphs(4, m_filter=3)) == 4**2
-    assert sum(1 for _ in enumerate_connected_graphs(5, m_filter=4)) == 5**3
+    assert sum(1 for g in enumerate_connected_graphs(4) if g.m == 3) == 4**2
+    assert sum(1 for g in enumerate_connected_graphs(5) if g.m == 4) == 5**3
+
+
+def test_enumeration_over_mask_ranges_concatenates_to_the_full_walk():
+    full = [edge_mask(g) for g in enumerate_connected_graphs(5)]
+    assert full == sorted(full)
+    total = 1 << len(edge_list(5))
+    rng = random.Random(14)
+    chunkings = [list(range(0, total, step)) + [total] for step in (1, 7, 256, 1000)]
+    chunkings.append([0, *sorted(rng.sample(range(1, total), 9)), total])
+    for cuts in chunkings:
+        chunked = [
+            edge_mask(g)
+            for a, b in zip(cuts, cuts[1:])
+            for g in enumerate_connected_graphs(5, range(a, b))
+        ]
+        assert chunked == full, cuts[:3]
 
 
 def test_enumeration_yields_distinct_connected_graphs():

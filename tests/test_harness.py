@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-import mc_lab.harness as harness
 from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, verify_mc
 from mc_lab.formulas import max_edges_capping, min_edges_forcing
 from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
@@ -28,30 +27,29 @@ from mc_lab.solver import mc_exact
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, stdin=None, env_extra=None, preexec_fn=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
+def run_cli(*args, stdin=None, preexec_fn=None):
+    return subprocess.run(
         [sys.executable, "-m", "mc_lab", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env=env,
         preexec_fn=preexec_fn,
     )
-    return proc
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def test_sweep_counts_and_rows(sweep4):
+def test_sweep_counts_and_rows(sweep4, sweep5, mc_by_mask):
     assert sweep4.graph_count == 38
     assert sweep4.min_mc_by_m == {3: 1, 4: 2, 5: 4, 6: 6}
     assert sweep4.max_mc_by_m == {3: 1, 4: 2, 5: 4, 6: 6}
     assert set(sweep4.witness_g6) == {(3, 1), (4, 2), (5, 4), (6, 6)}
+    assert sweep5.graph_count == len(mc_by_mask(5)) == 728
+    # K_5 is the all-ones mask and the only graph with 10 edges
+    assert mc_by_mask(5)[(1 << 10) - 1] == 10
+    assert sweep5.min_mc_by_m[10] == sweep5.max_mc_by_m[10] == 10
 
 
 def test_sweep_witnesses_reproduce_their_values(sweep4):
@@ -61,31 +59,19 @@ def test_sweep_witnesses_reproduce_their_values(sweep4):
         assert mc_exact(g).value == val
 
 
-def test_sweep_keeps_values_when_asked(sweep5):
-    assert sweep5.graph_count == 728
-    assert sweep5.mc_by_mask is not None
-    assert len(sweep5.mc_by_mask) == 728
-    # K_5 is the all-ones mask
-    assert sweep5.mc_by_mask[(1 << 10) - 1] == 10
-
-
 def test_sweep_range_errors():
     with pytest.raises(ValueError):
         sweep(1)
     with pytest.raises(ValueError):
-        sweep(8)  # beyond the default hard cap
+        sweep(8)  # beyond ENUMERATION_MAX_VERTICES
 
 
 def test_sweep_parallel_matches_serial(sweep4):
-    saved = harness._SWEEP_CACHE.pop(4)
-    try:
-        par = sweep(4, jobs=2)
-        assert par.graph_count == saved.graph_count
-        assert par.min_mc_by_m == saved.min_mc_by_m
-        assert par.max_mc_by_m == saved.max_mc_by_m
-        assert par.witness_g6 == saved.witness_g6
-    finally:
-        harness._SWEEP_CACHE[4] = saved
+    par = sweep(4, jobs=2)
+    assert par.graph_count == sweep4.graph_count
+    assert par.min_mc_by_m == sweep4.min_mc_by_m
+    assert par.max_mc_by_m == sweep4.max_mc_by_m
+    assert par.witness_g6 == sweep4.witness_g6
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +79,16 @@ def test_sweep_parallel_matches_serial(sweep4):
 
 
 def test_empirical_tables_match_formulas_small(sweep3, sweep4):
-    for n in (3, 4):
-        force = empirical_force_table(n)
-        cap = empirical_cap_table(n)
+    for sw in (sweep3, sweep4):
+        n = sw.n
+        force = empirical_force_table(sw)
+        cap = empirical_cap_table(sw)
         for k in force:
             assert force[k] == min_edges_forcing(n, k).value
             assert cap[k] == max_edges_capping(n, k).value
 
 
-def test_certify_three_vertices(sweep3):
+def test_certify_three_vertices():
     report = certify(3)
     assert report.verdict == "certified"
     assert report.mismatches == ()
@@ -110,7 +97,7 @@ def test_certify_three_vertices(sweep3):
     assert report.cap_witness_g6 == {1: "Bw", 2: "Bw"}
 
 
-def test_certify_four_vertices(sweep4):
+def test_certify_four_vertices():
     report = certify(4)
     assert report.verdict == "certified"
     assert report.graph_count == 38
@@ -121,7 +108,7 @@ def test_certify_four_vertices(sweep4):
     assert mc_exact(wit).value == 4
 
 
-def test_certify_witness_contract(sweep4):
+def test_certify_witness_contract():
     report = certify(4)
     for k, g6 in report.force_witness_g6.items():
         g = parse_graph6(g6)
@@ -133,7 +120,7 @@ def test_certify_witness_contract(sweep4):
         assert mc_exact(g).value >= k + 1
 
 
-def test_certification_report_serialization(sweep3):
+def test_certification_report_serialization():
     report = certify(3)
     doc = json.loads(report.to_json())
     assert doc["verdict"] == "certified"
@@ -456,12 +443,12 @@ def test_cli_certify_guard_rails():
     slow = run_cli("certify", "--n", "7")
     assert slow.returncode == 1
     assert "allow-slow" in json.loads(slow.stdout)["error"]
-    capped = run_cli(
-        "certify", "--n", "7", "--allow-slow", env_extra={"MC_LAB_HARD_CAP": "6"}
-    )
-    assert capped.returncode == 1
-    over = run_cli("certify", "--n", "9", "--allow-slow")
-    assert over.returncode == 1
+    for args in (("--n", "8"), ("--n", "9", "--allow-slow"), ("--n", "1")):
+        proc = run_cli("certify", *args)
+        assert proc.returncode == 1, args
+        assert proc.stdout == json.dumps(
+            {"error": f"sweep supports 2 <= n <= 7, got {args[1]}"}
+        ) + "\n", args
 
 
 def test_cli_bad_usage():
