@@ -134,13 +134,17 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
     colors = []
     fresh = 0
     for u, row in enumerate(g.adj):
+        pu = parent[u]
         row >>= u + 1
         while row:
             low = row & -row
             row ^= low
             v = u + low.bit_length()
-            tree = parent[v] == u or parent[u] == v
-            colors.append(0 if tree else (fresh := fresh + 1))
+            if parent[v] == u or v == pu:
+                colors.append(0)
+            else:
+                fresh += 1
+                colors.append(fresh)
     col = EdgeColoring(g, colors)
     assert col.color_count == g.m - g.n + 2
     return col

@@ -490,15 +490,31 @@ def enumerate_connected_graphs(n: int, masks: range | None = None) -> Iterator[G
 
     Graphs appear in ascending edge-mask order over ``edge_list(n)``;
     ``masks`` restricts the walk to a range of edge masks, which is how
-    the parallel sweep splits its work.  Bounded at n <= 7 (1,866,256
-    graphs) because the mask space doubles per extra pair.
+    the parallel sweep splits its work, and must lie in 0..2^E - 1.
+    Bounded at n <= 7 (1,866,256 graphs) because the mask space doubles
+    per extra pair.  One list of rows is kept across the walk, and each
+    mask toggles only the edges where it differs from the last graph
+    built (about two per step in ascending order).  Each graph is
+    checked once with ``is_connected``.
     """
     if not 2 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"enumeration supports 2..{ENUMERATION_MAX_VERTICES} vertices, got {n}")
-    for mask in range(1 << len(edge_list(n))) if masks is None else masks:
+    elist = edge_list(n)
+    space = range(1 << len(elist))
+    masks = space if masks is None else masks
+    if masks and not (masks[0] in space and masks[-1] in space):
+        raise ValueError(f"edge masks {masks} outside 0..{space[-1]}")
+    rows = [0] * n
+    built = 0
+    for mask in masks:
         if mask.bit_count() < n - 1:
             continue
-        g = from_edge_mask(n, mask)
+        for i in bits(mask ^ built):
+            u, v = elist[i]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        built = mask
+        g = Graph._trusted(n, tuple(rows), mask.bit_count())
         if is_connected(g):
             yield g
 

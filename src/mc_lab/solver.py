@@ -185,13 +185,16 @@ def baseline_fast_path(g: Graph) -> str | None:
     ``compute --method fast`` takes n up to 62, and there it is the only
     condition that closes complete bipartite graphs such as K_{5,11}
     (the one case at n = 16) and K_{6,14}.
+
+    Raises ValueError on disconnected input; this is the one
+    connectivity check of an ``mc_exact`` call that takes the fast path.
     """
     if not is_connected(g):
         raise ValueError("requires a connected graph")
     n, m = g.n, g.m
     if n <= 3:
         return None
-    dmax = max(g.degree(v) for v in range(n))
+    dmax = max(map(int.bit_count, g.adj))
     if (n - dmax) * (n - 3) > 2 * m - 3 * (n - 1):
         return "max-degree"
     if _is_triangle_free(g):
@@ -237,10 +240,23 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
     past EXACT_HARD_CAP vertices.  ``fast_path=False`` skips the cheap
     structural conditions and forces the bound-and-search route, which
     is how the fast path itself gets regression-tested.
+
+    Connectivity is checked once per call: by ``baseline_fast_path``
+    when the fast path runs (n <= EXACT_HARD_CAP), and here otherwise,
+    before the size refusal, so a disconnected graph of any size gets
+    ValueError.
     """
-    if not is_connected(g):
-        raise ValueError("mc is only defined for connected graphs")
     n, m = g.n, g.m
+    if fast_path and n <= EXACT_HARD_CAP:
+        try:
+            reason = baseline_fast_path(g)
+        except ValueError:
+            raise ValueError("mc is only defined for connected graphs") from None
+        if reason is not None:
+            trace = ((f"fast:baseline({reason})", m - n + 2),)
+            return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", trace)
+    elif not is_connected(g):
+        raise ValueError("mc is only defined for connected graphs")
     if n > EXACT_HARD_CAP:
         lb, ub = _cheap_bounds(g)
         raise ExactSolveRefusedError(
@@ -249,11 +265,6 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
             lower=lb,
             upper=ub,
         )
-    if fast_path:
-        reason = baseline_fast_path(g)
-        if reason is not None:
-            trace = ((f"fast:baseline({reason})", m - n + 2),)
-            return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", trace)
     lb, lb_col, ub, trace = _bounds(g)
     assert lb <= ub, f"bound inversion on {g!r}: {lb} > {ub}"
     if lb == ub:

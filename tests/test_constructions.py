@@ -62,6 +62,20 @@ def _reference_spanning_coloring(g):
     return _coloring_from_groups(g, [sorted(spanning_tree(g))])
 
 
+def _tree_then_fresh_colors(g):
+    # Tree edges share color 0; every other edge takes the next fresh id
+    # in lexicographic edge order.
+    tree = spanning_tree(g)
+    colors, fresh = [], 0
+    for e in g.edges():
+        if e in tree:
+            colors.append(0)
+        else:
+            fresh += 1
+            colors.append(fresh)
+    return tuple(colors)
+
+
 def test_spanning_coloring_matches_the_group_construction():
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
@@ -72,7 +86,9 @@ def test_spanning_coloring_matches_the_group_construction():
         n = rng.randint(7, 16)
         g = from_edges(n, [e for e in edge_list(n) if rng.random() < rng.choice([0.2, 0.5, 0.9])])
         if is_connected(g):
-            assert spanning_tree_coloring(g) == _reference_spanning_coloring(g)
+            col = spanning_tree_coloring(g)
+            assert col == _reference_spanning_coloring(g)
+            assert col.colors == _tree_then_fresh_colors(g), emit_graph6(g)
             checked += 1
 
 

@@ -470,6 +470,42 @@ def test_enumeration_over_mask_ranges_concatenates_to_the_full_walk():
         assert chunked == full, cuts[:3]
 
 
+def _per_mask_rebuild(n, masks):
+    return [g for g in (from_edge_mask(n, k) for k in masks) if is_connected(g)]
+
+
+def _assert_same_walk(got, want):
+    assert [(g.n, g.adj, g.m) for g in got] == [(g.n, g.adj, g.m) for g in want]
+    assert all(type(g.adj) is tuple for g in got)
+
+
+def test_incremental_enumeration_matches_per_mask_rebuild():
+    for n in range(2, 7):
+        masks = range(1 << len(edge_list(n)))
+        _assert_same_walk(list(enumerate_connected_graphs(n)), _per_mask_rebuild(n, masks))
+
+
+def test_incremental_enumeration_on_subranges_starting_mid_space():
+    total = 1 << len(edge_list(6))
+    rng = random.Random(15)
+    ranges = [range(a, a) for a in rng.sample(range(total), 3)]
+    ranges += [range(a, a + 1) for a in rng.sample(range(total), 20)]
+    for _ in range(12):
+        a, b = sorted(rng.sample(range(total + 1), 2))
+        ranges.append(range(a, b))
+    a = rng.randrange(total // 2)
+    ranges += [range(a, total, 7), range(total - 1, a, -5)]
+    for masks in ranges:
+        _assert_same_walk(list(enumerate_connected_graphs(6, masks)), _per_mask_rebuild(6, masks))
+
+
+@pytest.mark.parametrize("masks", [range(60, 70), range(-1, 5), range(64, 0, -1), range(0, 70, 8)])
+def test_enumeration_rejects_masks_outside_the_space_before_yielding(masks):
+    walk = enumerate_connected_graphs(4, masks)  # 6 pairs: masks 0..63
+    with pytest.raises(ValueError, match="outside 0..63"):
+        next(walk)
+
+
 def test_enumeration_yields_distinct_connected_graphs():
     seen = set()
     for g in enumerate_connected_graphs(4):

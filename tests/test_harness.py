@@ -233,6 +233,20 @@ def test_cli_compute_bounds_stdout_is_exact(graph6):
     assert proc.returncode == (1 if graph6 == "B?" else 0)
 
 
+# Disconnected input: each method keeps its own error text.
+_DISCONNECTED_STDOUT = {
+    "exact": '{"graph6": "B?", "error": "mc is only defined for connected graphs"}',
+    "fast": '{"graph6": "B?", "error": "requires a connected graph"}',
+}
+
+
+@pytest.mark.parametrize("method", sorted(_DISCONNECTED_STDOUT))
+def test_cli_compute_disconnected_stdout_is_exact(method):
+    proc = run_cli("compute", "--graph6", "B?", "--method", method)
+    assert proc.stdout == _DISCONNECTED_STDOUT[method] + "\n"
+    assert proc.returncode == 1
+
+
 def test_cli_compute_bounds_trace_matches_the_solver():
     graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
     proc = run_cli("compute", "--method", "bounds", stdin="".join(emit_graph6(g) + "\n" for g in graphs))

@@ -381,8 +381,18 @@ def test_exact_solver_is_deterministic():
 
 
 def test_exact_rejects_disconnected():
-    with pytest.raises(ValueError):
-        mc_exact(from_edges(4, [(0, 1), (2, 3)]))
+    for fast_path in (True, False):
+        with pytest.raises(ValueError, match="^mc is only defined for connected graphs$"):
+            mc_exact(from_edges(4, [(0, 1), (2, 3)]), fast_path=fast_path)
+
+
+def test_exact_rejects_disconnected_input_past_the_cap():
+    # n = 17 with vertex 16 isolated: connectivity is checked before the size refusal.
+    g = from_edges(EXACT_HARD_CAP + 1, [(i, i + 1) for i in range(EXACT_HARD_CAP - 1)])
+    for fast_path in (True, False):
+        with pytest.raises(ValueError, match="^mc is only defined for connected graphs$") as info:
+            mc_exact(g, fast_path=fast_path)
+        assert not isinstance(info.value, ExactSolveRefusedError)
 
 
 def test_exact_refuses_oversized_input():
