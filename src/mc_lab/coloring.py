@@ -8,8 +8,8 @@ single color class; :func:`verify_mc` reports the first pair that fails.
 Every edge's own class joins its two endpoints, so :func:`verify_mc`
 starts from the adjacency rows and merges components only for the classes
 of two or more edges: its cost is the adjacency plus those classes.  The
-per-class view (:meth:`EdgeColoring.classes`) is built lazily, for the
-structural predicates only.
+per-class view (:meth:`EdgeColoring.classes`) is rebuilt on each call;
+only the structural predicates ask for it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ColorClass:
 class EdgeColoring:
     """Edge colors parallel to ``graph.edges()``; ids contiguous from 0."""
 
-    __slots__ = ("graph", "colors", "_classes", "_position")
+    __slots__ = ("graph", "colors")
 
     def __init__(self, graph: Graph, colors) -> None:
         colors = tuple(colors)
@@ -55,8 +55,6 @@ class EdgeColoring:
                 raise ValueError("color ids must be contiguous integers starting at 0")
         self.graph = graph
         self.colors = colors
-        self._classes = None
-        self._position = None
 
     @property
     def color_count(self) -> int:
@@ -70,25 +68,17 @@ class EdgeColoring:
         u, v = edge
         if u > v:
             u, v = v, u
-        if self._position is None:
-            self._position = {e: i for i, e in enumerate(self.graph.edges())}
-        i = self._position.get((u, v))
-        if i is None:
-            raise KeyError(f"({u}, {v}) is not an edge of the graph")
-        return self.colors[i]
+        try:
+            return self.colors[self.graph.edges().index((u, v))]
+        except ValueError:
+            raise KeyError(f"({u}, {v}) is not an edge of the graph") from None
 
     def classes(self) -> tuple[ColorClass, ...]:
-        if self._classes is None:
-            elist = self.graph.edges()
-            grouped: dict[int, list[Edge]] = defaultdict(list)
-            for e, c in zip(elist, self.colors):
-                grouped[c].append(e)
-            out = []
-            for c in sorted(grouped):
-                es = tuple(grouped[c])
-                out.append(_build_class(c, es))
-            self._classes = tuple(out)
-        return self._classes
+        """One :class:`ColorClass` per color, in color order; built afresh per call."""
+        grouped: dict[int, list[Edge]] = defaultdict(list)
+        for e, c in zip(self.graph.edges(), self.colors):
+            grouped[c].append(e)
+        return tuple(_build_class(c, tuple(grouped[c])) for c in sorted(grouped))
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,9 +166,10 @@ def is_simple(col: EdgeColoring) -> bool:
 
     Requires every class to be a tree; raises ValueError otherwise.
     """
-    if not classes_are_trees(col):
+    classes = col.classes()
+    if not all(cls.is_tree for cls in classes):
         raise ValueError("is_simple is defined only for colorings whose classes are trees")
-    nontrivial = [cls.vertex_mask for cls in col.classes() if cls.is_nontrivial]
+    nontrivial = [cls.vertex_mask for cls in classes if cls.is_nontrivial]
     for i in range(len(nontrivial)):
         for j in range(i + 1, len(nontrivial)):
             if (nontrivial[i] & nontrivial[j]).bit_count() > 1:

@@ -19,8 +19,8 @@ from .graph_core import (
     _check_order,
     _mask_components,
     bits,
+    complement,
     cycle_graph,
-    edge_index,
     from_edges,
     path_graph,
 )
@@ -64,15 +64,6 @@ class PartitionedGraph:
                     if v != a and self.graph.has_edge(a, v):
                         raise ValueError(f"anchor {a} has a neighbor inside its class")
 
-    def class_masks(self) -> tuple[int, ...]:
-        out = []
-        for cls in self.classes:
-            cmask = 0
-            for v in cls:
-                cmask |= 1 << v
-            out.append(cmask)
-        return tuple(out)
-
 
 def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:
     """One color per group, a fresh color per leftover edge.
@@ -80,32 +71,19 @@ def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:
     Ids are assigned by first appearance in lexicographic edge order, so the
     result is canonical for a given group family.
     """
-    idx = edge_index(g.n)
-    owner: list[int | None] = [None] * comb(g.n, 2)
+    owner: dict[Edge, int] = {}
     for gi, group in enumerate(groups):
         for u, v in group:
             if u > v:
                 u, v = v, u
-            i = idx[(u, v)]
             if not g.has_edge(u, v):
                 raise ValueError(f"group edge ({u}, {v}) is not in the graph")
-            if owner[i] is not None:
+            if (u, v) in owner:
                 raise ValueError(f"edge ({u}, {v}) appears in two groups")
-            owner[i] = gi
-    colors = []
-    next_id = 0
-    group_color: dict[int, int] = {}
-    for u, v in g.edges():
-        gi = owner[idx[(u, v)]]
-        if gi is None:
-            colors.append(next_id)
-            next_id += 1
-        elif gi in group_color:
-            colors.append(group_color[gi])
-        else:
-            group_color[gi] = next_id
-            colors.append(next_id)
-            next_id += 1
+            owner[(u, v)] = gi
+    # A group is keyed by its index, a leftover edge by itself.
+    ids: dict[int | Edge, int] = {}
+    colors = [ids.setdefault(owner.get(e, e), len(ids)) for e in g.edges()]
     return EdgeColoring(g, colors)
 
 
@@ -164,8 +142,7 @@ def near_complete_coloring(g: Graph) -> EdgeColoring:
         col = spanning_tree_coloring(g)
         assert col.waste <= p
         return col
-    full = (1 << n) - 1
-    cadj = [full & ~(g.adj[u] | 1 << u) for u in range(n)]
+    cadj = complement(g).adj
     tilde = 0
     for u in range(n):
         if cadj[u]:
@@ -213,11 +190,11 @@ def multipartite_star_coloring(pg: PartitionedGraph) -> EdgeColoring:
     the job.
     """
     g = pg.graph
-    masks = pg.class_masks()
     full = (1 << g.n) - 1
-    for cls, cmask in zip(pg.classes, masks):
+    for cls in pg.classes:
+        others = full & ~sum(1 << v for v in cls)
         for v in cls:
-            if g.adj[v] != full & ~cmask:
+            if g.adj[v] != others:
                 raise ValueError("graph is not complete multipartite over these classes")
     groups = _star_groups([cls[0] for cls in pg.classes], pg.classes)
     col = _coloring_from_groups(g, groups)

@@ -131,11 +131,6 @@ def edge_list(n: int) -> tuple[Edge, ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-@lru_cache(maxsize=None)
-def edge_index(n: int) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(edge_list(n))}
-
-
 def from_edges(n: int, edges) -> Graph:
     _check_order(n)
     rows = [0] * n
@@ -166,11 +161,7 @@ def from_edge_mask(n: int, mask: int) -> Graph:
 
 def edge_mask(g: Graph) -> int:
     """Inverse of :func:`from_edge_mask`."""
-    idx = edge_index(g.n)
-    mask = 0
-    for e in g.edges():
-        mask |= 1 << idx[e]
-    return mask
+    return sum(1 << i for i, (u, v) in enumerate(edge_list(g.n)) if g.adj[u] >> v & 1)
 
 
 def complete_graph(n: int) -> Graph:
@@ -490,7 +481,8 @@ def enumerate_connected_graphs(n: int, masks: range | None = None) -> Iterator[G
 
     Graphs appear in ascending edge-mask order over ``edge_list(n)``;
     ``masks`` restricts the walk to a range of edge masks, which is how
-    the parallel sweep splits its work, and must lie in 0..2^E - 1.
+    every sweep cuts its work into ranges (in-process or in a pool), and
+    must lie in 0..2^E - 1.
     Bounded at n <= 7 (1,866,256 graphs) because the mask space doubles
     per extra pair.  One list of rows is kept across the walk, and each
     mask toggles only the edges where it differs from the last graph

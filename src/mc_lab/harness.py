@@ -2,8 +2,10 @@
 
 The sweep walks ``graph_core.enumerate_connected_graphs`` over every
 connected labeled graph on n <= 7 vertices, solves each one exactly, and
-aggregates per-edge-count mc statistics.  A parallel sweep hands each
-worker process one range of edge masks of that same walk.  Nothing is
+aggregates per-edge-count mc statistics.  Every sweep cuts that walk into
+``4 * jobs`` ranges of edge masks, solved in-process for one job and by a
+worker pool otherwise; one rule, the least graph6 per (edge count, mc),
+picks the witnesses inside a range and across ranges alike.  Nothing is
 cached: every call sweeps afresh, and ``certify`` sweeps once and derives
 both empirical threshold tables from that one ``SweepResult`` before
 comparing them against the closed forms.  ``certify`` is also the
@@ -65,46 +67,52 @@ class SweepResult:
     witness_g6: dict[tuple[int, int], str]
 
 
+def _keep_least(wit: dict[tuple[int, int], str], pairs) -> int:
+    """Fold (key, graph6) pairs into ``wit``, keeping each key's least graph6.
+
+    Returns the number of pairs folded.
+    """
+    count = 0
+    for key, g6 in pairs:
+        count += 1
+        if key not in wit or g6 < wit[key]:
+            wit[key] = g6
+    return count
+
+
 def _sweep_chunk(args: tuple[int, range]):
     """Solve every connected graph on n vertices whose edge mask lies in ``masks``."""
     n, masks = args
-    count = 0
+    graphs = enumerate_connected_graphs(n, masks)
     wit: dict[tuple[int, int], str] = {}
-    for g in enumerate_connected_graphs(n, masks):
-        val = mc_exact(g).value
-        count += 1
-        g6 = emit_graph6(g)
-        key = (g.m, val)
-        if key not in wit or g6 < wit[key]:
-            wit[key] = g6
-    return count, wit
+    return _keep_least(wit, (((g.m, mc_exact(g).value), emit_graph6(g)) for g in graphs)), wit
 
 
 def sweep(n: int, jobs: int = 1) -> SweepResult:
     """Solve all connected labeled graphs on n vertices and aggregate.
 
-    Bounded at n <= ENUMERATION_MAX_VERTICES (7): a full n = 7 sweep
-    solves 1.8 million graphs.
+    The edge-mask space is cut into ``4 * jobs`` ranges, solved in this
+    process when jobs is 1 and by a pool of at most ``os.cpu_count()``
+    worker processes otherwise.  Bounded at n <= ENUMERATION_MAX_VERTICES
+    (7): a full n = 7 sweep solves 1.8 million graphs.
     """
     if not 2 <= n <= ENUMERATION_MAX_VERTICES:
         raise ValueError(f"sweep supports 2 <= n <= {ENUMERATION_MAX_VERTICES}, got {n}")
     t0 = time.perf_counter()
     jobs = max(1, jobs)
     total = 1 << len(edge_list(n))
+    step = -(-total // (4 * jobs))
+    chunks = [(n, range(s, min(s + step, total))) for s in range(0, total, step)]
     if jobs == 1:
-        parts = [_sweep_chunk((n, range(total)))]
+        parts = map(_sweep_chunk, chunks)
     else:
-        step = max(1, -(-total // (jobs * 4)))
-        argsets = [(n, range(s, min(s + step, total))) for s in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_sweep_chunk, argsets))
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
+            parts = list(ex.map(_sweep_chunk, chunks))
     count = 0
     wit: dict[tuple[int, int], str] = {}
     for c, w in parts:
         count += c
-        for key, g6 in w.items():
-            if key not in wit or g6 < wit[key]:
-                wit[key] = g6
+        _keep_least(wit, w.items())
     # The witness keys are every attained (m, mc) pair; sorted, each m's
     # first key holds its least mc and its last the greatest.
     min_by_m: dict[int, int] = {}
@@ -245,6 +253,8 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
     force_exp = {k: min_edges_forcing(n, k).value for k in range(1, top + 1)}
     cap_exp = {k: max_edges_capping(n, k).value for k in range(1, top + 1)}
     mismatches: list[str] = []
+    force_wit: dict[int, str] = {}
+    cap_wit: dict[int, str] = {}
     for k in range(1, top + 1):
         if force_obs[k] != force_exp[k]:
             mismatches.append(
@@ -254,9 +264,6 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
             mismatches.append(
                 f"cap n={n} k={k}: expected {cap_exp[k]}, observed {cap_obs[k]}"
             )
-    force_wit: dict[int, str] = {}
-    cap_wit: dict[int, str] = {}
-    for k in range(1, top + 1):
         fm = force_exp[k] - 1
         if fm >= n - 1:
             low = sw.min_mc_by_m[fm]
@@ -411,7 +418,7 @@ def _cmd_verify(args) -> int:
         try:
             with open(args.coloring, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(json.dumps({"error": str(exc)}))
             return 1
     else:
@@ -465,6 +472,17 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print a JSON error line and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(json.dumps({"error": str(exc)}))
+        return False
+    return True
+
+
 def _cmd_table(args) -> int:
     try:
         rows = table_rows(args.function, args.n)
@@ -478,10 +496,8 @@ def _cmd_table(args) -> int:
         w.writerow([r.n, r.k, r.value, r.regime])
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return 0 if _write(args.out, text) else 1
+    sys.stdout.write(text)
     return 0
 
 
@@ -500,13 +516,12 @@ def _cmd_certify(args) -> int:
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report.table_csv())
-    print(report.to_json())
+    # The report goes to stdout first, so a failed write never loses a sweep.
+    doc = report.to_json()
+    print(doc)
+    for path, text in ((args.out, doc + "\n"), (args.csv, report.table_csv())):
+        if path and not _write(path, text):
+            return 1
     return 0 if report.verdict == "certified" else 2
 
 

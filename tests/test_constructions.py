@@ -101,12 +101,18 @@ def test_spanning_coloring_rejects_disconnected_input():
 
 def test_group_coloring_rejects_bad_groups():
     c4 = cycle_graph(4)
-    with pytest.raises(ValueError, match="not in the graph"):
+    with pytest.raises(ValueError, match="not in the graph") as absent:
         _coloring_from_groups(c4, [[(0, 1), (0, 2)]])
-    with pytest.raises(ValueError, match="two groups"):
+    assert str(absent.value) == "group edge (0, 2) is not in the graph"
+    with pytest.raises(ValueError, match="two groups") as twice:
         _coloring_from_groups(c4, [[(0, 1), (1, 2)], [(2, 3), (1, 0)]])
+    assert str(twice.value) == "edge (0, 1) appears in two groups"
     with pytest.raises(ValueError, match="two groups"):
         _coloring_from_groups(c4, [[(0, 1), (1, 0)]])
+    # A reversed edge is named with its lower endpoint first.
+    with pytest.raises(ValueError) as reversed_absent:
+        _coloring_from_groups(c4, [[(3, 1)]])
+    assert str(reversed_absent.value) == "group edge (1, 3) is not in the graph"
 
 
 # ---------------------------------------------------------------------------

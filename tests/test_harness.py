@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from mc_lab import harness
 from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, verify_mc
 from mc_lab.formulas import max_edges_capping, min_edges_forcing
 from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
@@ -66,12 +67,42 @@ def test_sweep_range_errors():
         sweep(8)  # beyond ENUMERATION_MAX_VERTICES
 
 
-def test_sweep_parallel_matches_serial(sweep4):
-    par = sweep(4, jobs=2)
-    assert par.graph_count == sweep4.graph_count
-    assert par.min_mc_by_m == sweep4.min_mc_by_m
-    assert par.max_mc_by_m == sweep4.max_mc_by_m
-    assert par.witness_g6 == sweep4.witness_g6
+def test_sweep_parallel_matches_serial(sweep4, sweep5):
+    # The serial fixtures run 4 ranges in-process; the pool runs 8 or 12.
+    for serial, jobs in ((sweep4, 2), (sweep5, 2), (sweep5, 3)):
+        par = sweep(serial.n, jobs=jobs)
+        assert par.graph_count == serial.graph_count, jobs
+        assert par.min_mc_by_m == serial.min_mc_by_m, jobs
+        assert par.max_mc_by_m == serial.max_mc_by_m, jobs
+        assert par.witness_g6 == serial.witness_g6, jobs
+
+
+def test_sweep_caps_the_pool_at_the_core_count(monkeypatch, sweep3):
+    created = []
+
+    class InlineExecutor:
+        """Records max_workers and maps in-process, so no worker is started."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    assert sweep(3).witness_g6 == sweep3.witness_g6
+    assert created == []  # one job never starts a pool
+    wide = sweep(3, jobs=10_000)
+    assert created == [os.cpu_count() or 1]
+    assert wide.jobs == 10_000
+    assert wide.graph_count == sweep3.graph_count
+    assert wide.witness_g6 == sweep3.witness_g6
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +471,16 @@ def test_cli_table_rejects_bad_n():
     assert run_cli("table", "f", "--n", "1").returncode == 1
 
 
+def test_cli_table_unwritable_out_is_one_json_line(tmp_path):
+    path = tmp_path / "absent" / "x.csv"
+    proc = run_cli("table", "f", "--n", "4", "--out", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == json.dumps(
+        {"error": f"[Errno 2] No such file or directory: {str(path)!r}"}
+    ) + "\n"
+
+
 def test_cli_certify_small(tmp_path):
     out = tmp_path / "report.json"
     csv_out = tmp_path / "table.csv"
@@ -451,6 +492,30 @@ def test_cli_certify_small(tmp_path):
     assert doc["verdict"] == "certified"
     assert json.loads(out.read_text(encoding="utf-8"))["verdict"] == "certified"
     assert csv_out.read_text(encoding="utf-8").startswith("n,k,")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_cli_certify_unwritable_file_keeps_the_report(tmp_path, flag):
+    path = tmp_path / "absent" / "x"
+    proc = run_cli("certify", "--n", "3", "--jobs", "1", flag, str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    report, error = proc.stdout.splitlines()
+    expected = json.loads(certify(3).to_json())
+    expected["elapsed_seconds"] = json.loads(report)["elapsed_seconds"]
+    assert report == json.dumps(expected)
+    assert error == json.dumps({"error": f"[Errno 2] No such file or directory: {str(path)!r}"})
+
+
+def test_cli_verify_undecodable_file_is_one_json_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    proc = run_cli("verify", "--coloring", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == json.dumps(
+        {"error": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"}
+    ) + "\n"
 
 
 def test_cli_certify_guard_rails():
