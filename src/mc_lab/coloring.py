@@ -6,10 +6,13 @@ the graph when every vertex pair lies in one connected component of some
 single color class; :func:`verify_mc` reports the first pair that fails.
 
 Every edge's own class joins its two endpoints, so :func:`verify_mc`
-starts from the adjacency rows and merges components only for the classes
-of two or more edges: its cost is the adjacency plus those classes.  The
-per-class view (:meth:`EdgeColoring.classes`) is rebuilt on each call;
-only the structural predicates ask for it.
+starts from the adjacency rows and finds components only for the classes
+of two or more edges: its cost is the adjacency plus those classes.  A
+class's components come from its own adjacency rows through
+``graph_core._mask_components``, so they are repeated reaches of the one
+reach routine, for :func:`verify_mc` and the per-class view
+(:meth:`EdgeColoring.classes`) alike.  That view is rebuilt on each
+call; only the structural predicates ask for it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any
 
-from .graph_core import Edge, Graph, bits, emit_graph6, parse_graph6
+from .graph_core import Edge, Graph, _mask_components, bits, emit_graph6, parse_graph6
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,8 @@ class EdgeColoring:
         grouped: dict[int, list[Edge]] = defaultdict(list)
         for e, c in zip(self.graph.edges(), self.colors):
             grouped[c].append(e)
-        return tuple(_build_class(c, tuple(grouped[c])) for c in sorted(grouped))
+        n = self.graph.n
+        return tuple(_build_class(n, c, tuple(grouped[c])) for c in sorted(grouped))
 
     def __eq__(self, other) -> bool:
         return (
@@ -94,31 +98,20 @@ class EdgeColoring:
         return f"EdgeColoring({self.color_count} colors on {self.graph.m} edges)"
 
 
-def _components(edges) -> list[int]:
-    """Vertex bitsets of the connected components that ``edges`` form.
-
-    Each vertex points at its component's root; a merge re-points the
-    vertices of the smaller component only.
-    """
-    root: dict[int, int] = {}
-    comp: dict[int, int] = {}
+def _components(n: int, edges) -> list[int]:
+    """Vertex bitsets of the connected components that ``edges`` form on n vertices."""
+    rows = [0] * n
     for u, v in edges:
-        a = root.setdefault(u, u)
-        b = root.setdefault(v, v)
-        if a == b:
-            continue
-        ma = comp.pop(a, 1 << a)
-        mb = comp.pop(b, 1 << b)
-        if ma.bit_count() < mb.bit_count():
-            a, ma, mb = b, mb, ma
-        comp[a] = ma | mb
-        for w in bits(mb):
-            root[w] = a
-    return list(comp.values())
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    touched = 0
+    for row in rows:
+        touched |= row
+    return _mask_components(rows, touched)
 
 
-def _build_class(color: int, es: tuple[Edge, ...]) -> ColorClass:
-    components = tuple(sorted(_components(es)))
+def _build_class(n: int, color: int, es: tuple[Edge, ...]) -> ColorClass:
+    components = tuple(sorted(_components(n, es)))
     vmask = 0
     for comp in components:
         vmask |= comp
@@ -144,7 +137,7 @@ def verify_mc(col: EdgeColoring) -> Edge | None:
         if counts[c] > 1:
             grouped[c].append(e)
     for es in grouped.values():
-        for comp in _components(es):
+        for comp in _components(n, es):
             for u in bits(comp):
                 covered[u] |= comp
     full = (1 << n) - 1

@@ -11,12 +11,20 @@ connected n-vertex graphs and the target value k:
 * ``max_edges_within``     greatest edge count among graphs with mc <= k
 
 The last two are one-step shifts of the first two.
+
+g is built from split-graph windows.  The complete split graph whose
+independent set has t vertices misses the C(t,2) edges inside that set,
+so it has C(n,2) - C(t,2) edges, and the window that holds an edge count
+depends only on its missing-edge count p: it is the least t >= 2 with
+C(t,2) >= p (``_split_window``).  The windows C(t-1,2) < p <= C(t,2)
+for t = 2..n-1 tile p = 1..C(n-1,2), that is every edge count of a
+connected graph short of C(n,2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,19 @@ class FormulaResult:
 def split_graph_base_edges(n: int, t: int) -> int:
     """Edges of the complete split graph: an (n-t)-clique joined to t isolated vertices."""
     return comb(n - t, 2) + t * (n - t)
+
+
+def _split_window(n: int, p: int) -> int | None:
+    """The window t of p missing edges: the least t >= 2 with C(t,2) >= p.
+
+    None when p = 0 (the complete graph) or when that t exceeds n - 1,
+    as it does for every edge count below n - 1.
+    """
+    if p < 1:
+        return None
+    # C(t-1,2) <= p - 1 < C(t,2), solved for t
+    t = (3 + isqrt(8 * p - 7)) // 2
+    return t if t < n else None
 
 
 def _validate(n: int, k: int) -> int:
@@ -61,16 +82,13 @@ def max_edges_capping(n: int, k: int) -> FormulaResult:
     top = _validate(n, k)
     if k == top:
         return FormulaResult("g", n, k, top, "complete")
-    # The t-th window covers t-1 interior values and one right-edge value;
-    # together the windows tile 1..top-1 exactly (asserted by tests).
-    for t in range(n - 1, 1, -1):
-        hi = split_graph_base_edges(n, t)
-        lo = hi - t + 1
-        if lo <= k < hi:
-            return FormulaResult("g", n, k, k + t - 1, f"interior(t={t})")
-        if k == hi:
-            return FormulaResult("g", n, k, k + t - 2, f"edge(t={t})")
-    raise AssertionError(f"window tiling failed to place k={k} for n={n}")
+    # With p missing edges in split window t, the regime is edge(t) when
+    # p = C(t,2) and interior(t - 1) otherwise, where t = n stands for the
+    # edge counts below n - 1; both give k + t - 2.
+    p = top - k
+    t = _split_window(n, p) or n
+    regime = f"edge(t={t})" if p == comb(t, 2) else f"interior(t={t - 1})"
+    return FormulaResult("g", n, k, k + t - 2, regime)
 
 
 def min_edges_reaching(n: int, k: int) -> FormulaResult:

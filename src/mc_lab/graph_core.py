@@ -10,10 +10,12 @@ deterministic BFS spanning trees.
 
 One reach routine, ``_reach``, answers every connectivity question: a
 graph is connected when vertex 0 reaches everything, components are
-repeated reaches, and a cut vertex is one whose removal leaves a rest
-that its lowest vertex does not reach.  ``_bfs_parents`` is the one
-tree-building BFS; no other BFS is left outside these two (the augmenting
-paths of ``_local_connectivity`` search the split graph, not G).
+repeated reaches (``_mask_components``, which also gives the components
+of a color class from that class's own rows, in ``coloring``), and a
+cut vertex is one whose removal leaves a rest that its lowest vertex
+does not reach.  ``_bfs_parents`` is the one tree-building BFS; no other
+BFS or union-find is left outside these two (the augmenting paths of
+``_local_connectivity`` search the split graph, not G).
 
 ``_has_cut_vertex`` answers False at once when 2 * delta >= n, since
 then kappa >= 2 * delta + 2 - n >= 2.  Proof: let S separate G, with

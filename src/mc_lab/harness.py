@@ -352,7 +352,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         "table": _cmd_table,
         "certify": _cmd_certify,
     }
-    return handlers[args.command](args)
+    # A bad input, or a file or worker pool the OS refuses, ends the
+    # command with one JSON error line and exit code 1.
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(json.dumps({"error": str(exc)}))
+        return 1
 
 
 def _cmd_compute(args) -> int:
@@ -415,19 +421,11 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.coloring is not None:
-        try:
-            with open(args.coloring, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            print(json.dumps({"error": str(exc)}))
-            return 1
+        with open(args.coloring, "r", encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = sys.stdin.read()
-    try:
-        col = coloring_from_json(text)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    col = coloring_from_json(text)
     bad = verify_mc(col)
     if bad is None:
         print(json.dumps({"ok": True, "colors": col.color_count}))
@@ -438,57 +436,43 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     fam = args.family
-    try:
-        if fam == "anchored":
-            if args.n is None or args.t is None:
-                raise ValueError("anchored needs --n and --t")
-            pg = build_anchored_partition(args.n, args.t)
-            g, col = pg.graph, anchored_partition_coloring(pg)
-        elif fam == "split":
-            if args.n is None or args.t is None:
-                raise ValueError("split needs --n and --t (and optionally --extra)")
-            g, col = build_augmented_split_graph(args.n, args.t, args.extra)
-        elif fam == "diam3":
-            if args.n is None:
-                raise ValueError("diam3 needs --n")
-            g = build_diameter_three_witness(args.n)
-            col = spanning_tree_coloring(g)
-        elif fam == "deg2":
-            if args.n is None:
-                raise ValueError("deg2 needs --n")
-            g = build_degree_two_witness(args.n)
-            col = spanning_tree_coloring(g)
-        else:
-            if not args.sizes:
-                raise ValueError("multipartite needs --sizes, e.g. --sizes 2,2,3")
-            sizes = [int(s) for s in args.sizes.split(",")]
-            pg = complete_multipartite(sizes)
-            g, col = pg.graph, multipartite_star_coloring(pg)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    if fam == "anchored":
+        if args.n is None or args.t is None:
+            raise ValueError("anchored needs --n and --t")
+        pg = build_anchored_partition(args.n, args.t)
+        g, col = pg.graph, anchored_partition_coloring(pg)
+    elif fam == "split":
+        if args.n is None or args.t is None:
+            raise ValueError("split needs --n and --t (and optionally --extra)")
+        g, col = build_augmented_split_graph(args.n, args.t, args.extra)
+    elif fam == "diam3":
+        if args.n is None:
+            raise ValueError("diam3 needs --n")
+        g = build_diameter_three_witness(args.n)
+        col = spanning_tree_coloring(g)
+    elif fam == "deg2":
+        if args.n is None:
+            raise ValueError("deg2 needs --n")
+        g = build_degree_two_witness(args.n)
+        col = spanning_tree_coloring(g)
+    else:
+        if not args.sizes:
+            raise ValueError("multipartite needs --sizes, e.g. --sizes 2,2,3")
+        sizes = [int(s) for s in args.sizes.split(",")]
+        pg = complete_multipartite(sizes)
+        g, col = pg.graph, multipartite_star_coloring(pg)
     print(emit_graph6(g))
     print(coloring_to_json(col))
     return 0
 
 
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; on failure print a JSON error line and return False."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return False
-    return True
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_table(args) -> int:
-    try:
-        rows = table_rows(args.function, args.n)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    rows = table_rows(args.function, args.n)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["n", "k", "value", "regime"])
@@ -496,32 +480,24 @@ def _cmd_table(args) -> int:
         w.writerow([r.n, r.k, r.value, r.regime])
     text = buf.getvalue()
     if args.out:
-        return 0 if _write(args.out, text) else 1
-    sys.stdout.write(text)
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_certify(args) -> int:
     n = args.n
     if n == 7 and not args.allow_slow:
-        print(
-            json.dumps(
-                {"error": f"n={n} solves millions of graphs; pass --allow-slow to confirm"}
-            )
-        )
-        return 1
-    try:
-        jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-        report = certify(n, jobs=jobs)
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+        raise ValueError(f"n={n} solves millions of graphs; pass --allow-slow to confirm")
+    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    report = certify(n, jobs=jobs)
     # The report goes to stdout first, so a failed write never loses a sweep.
     doc = report.to_json()
     print(doc)
     for path, text in ((args.out, doc + "\n"), (args.csv, report.table_csv())):
-        if path and not _write(path, text):
-            return 1
+        if path:
+            _write(path, text)
     return 0 if report.verdict == "certified" else 2
 
 

@@ -22,7 +22,7 @@ from math import comb
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
 from .constructions import _coloring_from_groups, near_complete_coloring, spanning_tree_coloring
-from .formulas import split_graph_base_edges
+from .formulas import _split_window
 from .graph_core import (
     Graph,
     _bfs_parents,
@@ -48,8 +48,8 @@ class ExactSolveRefusedError(RuntimeError):
     """Exact solve rejected because the graph is too large.
 
     ``lower`` and ``upper`` carry cheap bounds on mc computed before
-    refusing (constructive lower bound; degree and edge-count upper
-    bounds).
+    refusing (constructive lower bound; the min-degree and edge-window
+    upper bounds).
     """
 
     def __init__(self, message: str, lower: int, upper: int):
@@ -132,9 +132,11 @@ def mc_upper_bounds(g: Graph) -> list[tuple[str, int]]:
 
     Bounds: m - n + chromatic number; m - n + vertex connectivity + 1;
     the minimum-degree dichotomy (m - n + delta, shifting to + 1 only
-    for perfectly connected graphs); and m - t + 1 whenever the edge
-    count lands in the window [base, base + t - 2] over the split-graph
-    base edge count for some t.
+    for perfectly connected graphs); and the edge window m - t + 1,
+    where t is the split window of the p = C(n,2) - m missing edges,
+    the least t with C(t,2) >= p.  That is the t whose window
+    [C(n,2) - C(t,2), C(n,2) - C(t,2) + t - 2] holds m; at most one
+    does, and none when m = C(n,2) or m < n - 1.
     """
     m, n = g.m, g.n
     out = [
@@ -146,17 +148,9 @@ def mc_upper_bounds(g: Graph) -> list[tuple[str, int]]:
         out.append(("upper:min-degree", m - n + s + 1))
     else:
         out.append(("upper:min-degree", m - n + s))
-    out += [(f"upper:edge-window(t={t})", bound) for t, bound in _edge_windows(n, m)]
-    return out
-
-
-def _edge_windows(n: int, m: int) -> list[tuple[int, int]]:
-    """(t, m - t + 1) for each t whose split-graph window [base, base + t - 2] holds m."""
-    out = []
-    for t in range(2, n):
-        base = split_graph_base_edges(n, t)
-        if base <= m <= base + t - 2:
-            out.append((t, m - t + 1))
+    t = _split_window(n, comb(n, 2) - m)
+    if t is not None:
+        out.append((f"upper:edge-window(t={t})", m - t + 1))
     return out
 
 
@@ -228,8 +222,10 @@ def _cheap_bounds(g: Graph) -> tuple[int, int]:
     """Bounds safe to compute at any size, for refusal messages."""
     n, m = g.n, g.m
     lb = near_complete_coloring(g).color_count
-    delta = min(g.degree(v) for v in range(n))
-    ub = min([m - n + delta + 1] + [bound for _, bound in _edge_windows(n, m)])
+    ub = m - n + min(g.degree(v) for v in range(n)) + 1
+    t = _split_window(n, comb(n, 2) - m)
+    if t is not None:
+        ub = min(ub, m - t + 1)
     return lb, ub
 
 

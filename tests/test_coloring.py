@@ -225,6 +225,38 @@ def test_verify_mc_matches_naive_bfs(col):
     assert verify_mc(col) == _naive_first_gap(col.graph, col.colors)
 
 
+def _naive_class_view(edges):
+    """(components, vertex mask, is_tree) of one class's edges, by BFS over sets."""
+    nbrs = {}
+    for u, v in edges:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    comps, seen = [], set()
+    for s in nbrs:
+        if s in seen:
+            continue
+        comp, queue = {s}, deque([s])
+        while queue:
+            for y in nbrs[queue.popleft()] - comp:
+                comp.add(y)
+                queue.append(y)
+        seen |= comp
+        comps.append(sum(1 << x for x in comp))
+    vmask = sum(1 << x for x in nbrs)
+    return tuple(sorted(comps)), vmask, len(comps) == 1 and len(edges) == len(nbrs) - 1
+
+
+@settings(PROPERTY, max_examples=300)
+@given(colored_graphs())
+def test_classes_match_naive_bfs(col):
+    classes = col.classes()
+    assert [cls.color for cls in classes] == list(range(col.color_count))
+    for cls in classes:
+        assert cls.edges == tuple(e for e, c in zip(col.graph.edges(), col.colors) if c == cls.color)
+        expected = _naive_class_view(cls.edges)
+        assert (cls.components, cls.vertex_mask, cls.is_tree) == expected, cls
+
+
 def test_verify_mc_names_first_gap_of_rainbow_family_members():
     # every family coloring passes, so only a rainbow one shows a verify_mc
     # that accepts everything

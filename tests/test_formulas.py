@@ -113,12 +113,18 @@ def test_argument_validation():
 
 
 def test_capping_windows_partition_the_k_range():
-    # every k below C(n,2) falls in exactly one (t, interior-or-edge) window
-    for n in range(3, 21):
+    # every k below C(n,2) falls in exactly one (t, interior-or-edge) window,
+    # and g takes its value and regime from that window
+    for n in range(3, 121):
         top = comb(n, 2)
-        seen = []
+        walk = {top: (top, "complete")}
         for t in range(n - 1, 1, -1):
             hi = split_graph_base_edges(n, t)
             lo = hi - t + 1
-            seen.extend(range(lo, hi + 1))
-        assert seen == list(range(1, top))
+            assert lo not in walk and hi not in walk, (n, t)
+            walk.update((k, (k + t - 1, f"interior(t={t})")) for k in range(lo, hi))
+            walk[hi] = (hi + t - 2, f"edge(t={t})")
+        assert sorted(walk) == list(range(1, top + 1)), n
+        for k, expected in walk.items():
+            got = max_edges_capping(n, k)
+            assert (got.value, got.regime) == expected, (n, k)

@@ -507,6 +507,24 @@ def test_cli_certify_unwritable_file_keeps_the_report(tmp_path, flag):
     assert error == json.dumps({"error": f"[Errno 2] No such file or directory: {str(path)!r}"})
 
 
+def test_cli_certify_pool_start_failure_is_one_json_line():
+    # OSError(11, ...) is the BlockingIOError a refused fork raises.
+    code = (
+        "import sys\n"
+        "from mc_lab import harness\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise OSError(11, 'Resource temporarily unavailable')\n"
+        "harness.ProcessPoolExecutor = refuse\n"
+        "sys.exit(harness.cli_main(['certify', '--n', '3', '--jobs', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == json.dumps(
+        {"error": "[Errno 11] Resource temporarily unavailable"}
+    ) + "\n"
+
+
 def test_cli_verify_undecodable_file_is_one_json_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{")

@@ -18,6 +18,7 @@ from mc_lab.constructions import (
     complete_multipartite,
     multipartite_star_coloring,
 )
+from mc_lab.formulas import split_graph_base_edges
 from mc_lab.graph_core import (
     _has_cut_vertex,
     _is_triangle_free,
@@ -28,6 +29,7 @@ from mc_lab.graph_core import (
     edge_list,
     edge_mask,
     enumerate_connected_graphs,
+    from_edge_mask,
     from_edges,
     is_connected,
     path_graph,
@@ -323,6 +325,22 @@ def test_upper_bounds_window_membership():
     assert "upper:edge-window(t=4)" in names
     k5 = complete_graph(5)
     assert not any("edge-window" in name for name, _ in mc_upper_bounds(k5))
+
+
+def test_upper_bounds_edge_window_matches_the_window_walk():
+    # the first m lexicographic edges give every count 0..C(n,2), including
+    # the disconnected counts below n - 1, where no window applies
+    for n in range(2, 11):
+        for m in range(comb(n, 2) + 1):
+            g = from_edge_mask(n, (1 << m) - 1)
+            walk = []
+            for t in range(2, n):
+                base = split_graph_base_edges(n, t)
+                if base <= m <= base + t - 2:
+                    walk.append((f"upper:edge-window(t={t})", m - t + 1))
+            got = [(name, v) for name, v in mc_upper_bounds(g) if "edge-window" in name]
+            assert got == walk, (n, m)
+            assert len(walk) == (n - 1 <= m < comb(n, 2)), (n, m)
 
 
 # ---------------------------------------------------------------------------
