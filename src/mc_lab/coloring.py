@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .graph_core import Edge, Graph, _mask_components, bits, emit_graph6, parse_graph6
 
 
-@dataclass(frozen=True)
-class ColorClass:
+class ColorClass(NamedTuple):
     """One color's edges together with its component structure."""
 
     color: int
@@ -66,15 +64,6 @@ class EdgeColoring:
     @property
     def waste(self) -> int:
         return self.graph.m - self.color_count
-
-    def color_of(self, edge: Edge) -> int:
-        u, v = edge
-        if u > v:
-            u, v = v, u
-        try:
-            return self.colors[self.graph.edges().index((u, v))]
-        except ValueError:
-            raise KeyError(f"({u}, {v}) is not an edge of the graph") from None
 
     def classes(self) -> tuple[ColorClass, ...]:
         """One :class:`ColorClass` per color, in color order; built afresh per call."""

@@ -7,9 +7,8 @@ appearance in lexicographic edge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coloring import EdgeColoring
 from .graph_core import (
@@ -26,43 +25,58 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class PartitionedGraph:
-    """A graph together with an ordered vertex partition.
-
-    ``anchors`` names one distinguished vertex per class for families that
-    need it; an anchor must belong to its class and have no neighbor inside
-    its own class.
-    """
-
+class _PartitionedGraphFields(NamedTuple):
     graph: Graph
     classes: tuple[tuple[int, ...], ...]
     anchors: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
+
+class PartitionedGraph(_PartitionedGraphFields):
+    """A graph together with an ordered vertex partition.
+
+    ``anchors`` names one distinguished vertex per class for families that
+    need it; an anchor must belong to its class and have no neighbor inside
+    its own class.  Every way to make one (the constructor, ``_make``,
+    ``_replace``, ``copy`` and ``pickle``) runs these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        graph: Graph,
+        classes: tuple[tuple[int, ...], ...],
+        anchors: tuple[int, ...] | None = None,
+    ) -> PartitionedGraph:
         seen = 0
-        for cls in self.classes:
-            if not cls:
+        for part in classes:
+            if not part:
                 raise ValueError("empty vertex class")
-            if tuple(sorted(cls)) != cls:
+            if tuple(sorted(part)) != part:
                 raise ValueError("class vertices must be listed in ascending order")
             cmask = 0
-            for v in cls:
+            for v in part:
                 cmask |= 1 << v
             if cmask & seen:
                 raise ValueError("vertex classes overlap")
             seen |= cmask
-        if seen != (1 << self.graph.n) - 1:
+        if seen != (1 << graph.n) - 1:
             raise ValueError("vertex classes do not cover the graph")
-        if self.anchors is not None:
-            if len(self.anchors) != len(self.classes):
+        if anchors is not None:
+            if len(anchors) != len(classes):
                 raise ValueError("need exactly one anchor per class")
-            for a, cls in zip(self.anchors, self.classes):
-                if a not in cls:
+            for a, part in zip(anchors, classes):
+                if a not in part:
                     raise ValueError(f"anchor {a} is outside its class")
-                for v in cls:
-                    if v != a and self.graph.has_edge(a, v):
+                for v in part:
+                    if v != a and graph.has_edge(a, v):
                         raise ValueError(f"anchor {a} has a neighbor inside its class")
+        return super().__new__(cls, graph, classes, anchors)
+
+    @classmethod
+    def _make(cls, iterable) -> PartitionedGraph:
+        # namedtuple's _make, which _replace calls too, skips __new__.
+        return cls(*iterable)
 
 
 def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:

@@ -23,12 +23,11 @@ connected graph short of C(n,2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isqrt
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """One evaluated table cell; ``function`` is the CSV code f, g, t or s."""
 
     function: str
@@ -119,11 +118,16 @@ _FUNCTIONS = {
 }
 
 
-def table_rows(code: str, n: int) -> list[FormulaResult]:
-    """All cells of one table for fixed n, k = 1..C(n,2)."""
+def _table_cells(code: str, n: int) -> Iterator[FormulaResult]:
+    """The cells of one table, computed as they are drawn; bad input raises here."""
     if code not in _FUNCTIONS:
         raise ValueError(f"unknown table {code!r}; choose one of f, g, t, s")
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     fn = _FUNCTIONS[code]
-    return [fn(n, k) for k in range(1, comb(n, 2) + 1)]
+    return (fn(n, k) for k in range(1, comb(n, 2) + 1))
+
+
+def table_rows(code: str, n: int) -> list[FormulaResult]:
+    """All cells of one table for fixed n, k = 1..C(n,2)."""
+    return list(_table_cells(code, n))

@@ -10,20 +10,23 @@ cached: every call sweeps afresh, and ``certify`` sweeps once and derives
 both empirical threshold tables from that one ``SweepResult`` before
 comparing them against the closed forms.  ``certify`` is also the
 backbone of the command line tool installed as ``mc-lab``.
+
+Importing this module loads only what sweeps and certification run.  The
+process pool (``concurrent.futures.process``, and with it
+``multiprocessing``) is imported on first use, by a sweep with more than
+one job; ``argparse`` and ``csv`` are imported by the CLI code that uses
+them.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .coloring import coloring_from_json, coloring_to_json, verify_mc
 from .constructions import (
@@ -36,7 +39,7 @@ from .constructions import (
     multipartite_star_coloring,
     spanning_tree_coloring,
 )
-from .formulas import max_edges_capping, min_edges_forcing, table_rows
+from .formulas import _table_cells, max_edges_capping, min_edges_forcing
 from .graph_core import (
     ENUMERATION_MAX_VERTICES,
     Graph6Error,
@@ -49,8 +52,7 @@ from .graph_core import (
 from .solver import ExactSolveRefusedError, _bounds, baseline_fast_path, mc_exact
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Aggregated exact-solver results over all connected graphs on n vertices.
 
     ``witness_g6`` maps (edge count, mc value) to the lexicographically
@@ -106,6 +108,8 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
     if jobs == 1:
         parts = map(_sweep_chunk, chunks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
             parts = list(ex.map(_sweep_chunk, chunks))
     count = 0
@@ -171,8 +175,7 @@ def empirical_cap_table(sw: SweepResult) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     """Side-by-side comparison of closed-form and observed thresholds.
 
     ``verdict`` is "certified" exactly when ``mismatches`` is empty.
@@ -224,6 +227,8 @@ class CertificationReport:
         )
 
     def table_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(
@@ -293,6 +298,8 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="mc-lab",
         description="Compute, construct, and certify monochromatic connection numbers.",
@@ -472,17 +479,21 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_table(args) -> int:
-    rows = table_rows(args.function, args.n)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "k", "value", "regime"])
-    for r in rows:
-        w.writerow([r.n, r.k, r.value, r.regime])
-    text = buf.getvalue()
+    import csv
+
+    # Bad input raises before any output; each row is written as it is computed.
+    cells = _table_cells(args.function, args.n)
+
+    def write(fh) -> None:
+        w = csv.writer(fh)
+        w.writerow(["n", "k", "value", "regime"])
+        w.writerows((r.n, r.k, r.value, r.regime) for r in cells)
+
     if args.out:
-        _write(args.out, text)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
     return 0
 
 

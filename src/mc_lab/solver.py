@@ -17,8 +17,8 @@ edge-set partitions directly backs the whole stack in tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
 from .constructions import _coloring_from_groups, near_complete_coloring, spanning_tree_coloring
@@ -58,8 +58,7 @@ class ExactSolveRefusedError(RuntimeError):
         self.upper = upper
 
 
-@dataclass(frozen=True)
-class McCertificate:
+class McCertificate(NamedTuple):
     """Exact mc value plus the evidence for it.
 
     ``coloring`` attains ``value`` and passes verify_mc.  ``method`` is

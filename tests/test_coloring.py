@@ -39,8 +39,6 @@ def test_coloring_basic_accounting():
     col = EdgeColoring(cycle_graph(4), [0, 0, 0, 1])
     assert col.color_count == 2
     assert col.waste == 2
-    assert col.color_of((0, 1)) == 0
-    assert col.color_of((3, 2)) == 1
     classes = col.classes()
     assert [c.color for c in classes] == [0, 1]
     assert classes[0].edges == ((0, 1), (0, 3), (1, 2))
@@ -164,12 +162,6 @@ def test_json_errors():
         coloring_from_json(bad_color)
     with pytest.raises(ValueError):
         coloring_from_json(json.dumps([1, 2, 3]))
-
-
-def test_color_of_unknown_edge():
-    col = EdgeColoring(path_graph(4), [0, 1, 2])
-    with pytest.raises(KeyError):
-        col.color_of((0, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Sweeps, empirical tables, certification reports, and the CLI."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -13,9 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from mc_lab import harness
 from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, verify_mc
-from mc_lab.formulas import max_edges_capping, min_edges_forcing
+from mc_lab.formulas import max_edges_capping, min_edges_forcing, table_rows
 from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
 from mc_lab.harness import (
     certify,
@@ -95,7 +95,8 @@ def test_sweep_caps_the_pool_at_the_core_count(monkeypatch, sweep3):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    # sweep imports the pool class only when it needs one, so patch its home.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     assert sweep(3).witness_g6 == sweep3.witness_g6
     assert created == []  # one job never starts a pool
     wide = sweep(3, jobs=10_000)
@@ -467,8 +468,24 @@ def test_cli_table_output(tmp_path):
     assert [int(r[2]) for r in rows2[1:]] == [3, 4, 5, 5, 6, 6]
 
 
+def test_cli_table_writes_the_rows_of_table_rows(tmp_path):
+    for code in "fgts":
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["n", "k", "value", "regime"])
+        w.writerows([r.n, r.k, r.value, r.regime] for r in table_rows(code, 7))
+        out = tmp_path / f"{code}.csv"
+        assert run_cli("table", code, "--n", "7", "--out", str(out)).returncode == 0
+        assert out.read_bytes() == buf.getvalue().encode()
+        proc = run_cli("table", code, "--n", "7")
+        assert proc.returncode == 0
+        assert proc.stdout == out.read_text(encoding="utf-8")
+
+
 def test_cli_table_rejects_bad_n():
-    assert run_cli("table", "f", "--n", "1").returncode == 1
+    proc = run_cli("table", "f", "--n", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == json.dumps({"error": "need at least 2 vertices, got n=1"}) + "\n"
 
 
 def test_cli_table_unwritable_out_is_one_json_line(tmp_path):
@@ -510,11 +527,12 @@ def test_cli_certify_unwritable_file_keeps_the_report(tmp_path, flag):
 def test_cli_certify_pool_start_failure_is_one_json_line():
     # OSError(11, ...) is the BlockingIOError a refused fork raises.
     code = (
+        "import concurrent.futures\n"
         "import sys\n"
         "from mc_lab import harness\n"
         "def refuse(*args, **kwargs):\n"
         "    raise OSError(11, 'Resource temporarily unavailable')\n"
-        "harness.ProcessPoolExecutor = refuse\n"
+        "concurrent.futures.ProcessPoolExecutor = refuse\n"
         "sys.exit(harness.cli_main(['certify', '--n', '3', '--jobs', '2']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
