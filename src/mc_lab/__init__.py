@@ -13,10 +13,8 @@ from types import ModuleType as _ModuleType
 from .coloring import (
     ColorClass,
     EdgeColoring,
-    classes_are_trees,
     coloring_from_json,
     coloring_to_json,
-    has_no_redundant_class,
     is_simple,
     verify_mc,
 )

@@ -12,7 +12,7 @@ class's components come from its own adjacency rows through
 ``graph_core._mask_components``, so they are repeated reaches of the one
 reach routine, for :func:`verify_mc` and the per-class view
 (:meth:`EdgeColoring.classes`) alike.  That view is rebuilt on each
-call; only the structural predicates ask for it.
+call; only :func:`is_simple` asks for it.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def verify_mc(col: EdgeColoring) -> Edge | None:
     return None
 
 
-def classes_are_trees(col: EdgeColoring) -> bool:
-    """True when every color class induces a tree (single edges count)."""
-    return all(cls.is_tree for cls in col.classes())
-
-
 def is_simple(col: EdgeColoring) -> bool:
     """True when nontrivial classes pairwise share at most one vertex.
 
@@ -156,25 +151,6 @@ def is_simple(col: EdgeColoring) -> bool:
         for j in range(i + 1, len(nontrivial)):
             if (nontrivial[i] & nontrivial[j]).bit_count() > 1:
                 return False
-    return True
-
-
-def has_no_redundant_class(col: EdgeColoring) -> bool:
-    """True when every nontrivial class spans at least one nonadjacent pair.
-
-    A class whose vertices form a clique could be split into singletons
-    without disconnecting anything, so it never appears in an extremal
-    coloring.
-    """
-    adj = col.graph.adj
-    for cls in col.classes():
-        if not cls.is_nontrivial:
-            continue
-        for u in bits(cls.vertex_mask):
-            if cls.vertex_mask & ~(adj[u] | 1 << u):
-                break
-        else:
-            return False
     return True
 
 

@@ -4,8 +4,14 @@ The sweep walks ``graph_core.enumerate_connected_graphs`` over every
 connected labeled graph on n <= 7 vertices, solves each one exactly, and
 aggregates per-edge-count mc statistics.  Every sweep cuts that walk into
 ``4 * jobs`` ranges of edge masks, solved in-process for one job and by a
-worker pool otherwise; one rule, the least graph6 per (edge count, mc),
-picks the witnesses inside a range and across ranges alike.  Nothing is
+worker pool otherwise.  A witness is the *first* graph seen with its
+(edge count, mc) key, in ascending edge-mask order: relabeling v as
+n - 1 - v maps the pair order of ``edge_list(n)`` onto the reverse of
+graph6's column order, so the edge mask of G, read as a number, orders
+graphs as graph6 orders their relabelings.  The key ignores labels and
+the sweep sees every labeled graph, so the relabeled first sighting is
+the key's least graph6.  Each range keeps its first sightings, the
+earliest range wins, and only the kept graphs are encoded.  Nothing is
 cached: every call sweeps afresh, and ``certify`` sweeps once and derives
 both empirical threshold tables from that one ``SweepResult`` before
 comparing them against the closed forms.  ``certify`` is also the
@@ -42,10 +48,10 @@ from .constructions import (
 from .formulas import _table_cells, max_edges_capping, min_edges_forcing
 from .graph_core import (
     ENUMERATION_MAX_VERTICES,
-    Graph6Error,
     edge_list,
     emit_graph6,
     enumerate_connected_graphs,
+    from_edges,
     is_connected,
     parse_graph6,
 )
@@ -57,7 +63,10 @@ class SweepResult(NamedTuple):
 
     ``witness_g6`` maps (edge count, mc value) to the lexicographically
     smallest graph6 string attaining it, which keeps every downstream
-    report independent of worker count and chunking.
+    report independent of worker count and chunking.  It is found without
+    encoding every graph: the first graph with the key in ascending
+    edge-mask order, relabeled by v -> n - 1 - v, has the least graph6,
+    because that relabeling turns edge-mask order into graph6 order.
     """
 
     n: int
@@ -69,25 +78,22 @@ class SweepResult(NamedTuple):
     witness_g6: dict[tuple[int, int], str]
 
 
-def _keep_least(wit: dict[tuple[int, int], str], pairs) -> int:
-    """Fold (key, graph6) pairs into ``wit``, keeping each key's least graph6.
-
-    Returns the number of pairs folded.
-    """
-    count = 0
-    for key, g6 in pairs:
-        count += 1
-        if key not in wit or g6 < wit[key]:
-            wit[key] = g6
-    return count
-
-
 def _sweep_chunk(args: tuple[int, range]):
-    """Solve every connected graph on n vertices whose edge mask lies in ``masks``."""
+    """Solve every connected graph on n vertices whose edge mask lies in ``masks``.
+
+    Returns the graph count and, for each (edge count, mc) key, the graph6
+    of the key's first graph in the range relabeled by v -> n - 1 - v.
+    """
     n, masks = args
-    graphs = enumerate_connected_graphs(n, masks)
-    wit: dict[tuple[int, int], str] = {}
-    return _keep_least(wit, (((g.m, mc_exact(g).value), emit_graph6(g)) for g in graphs)), wit
+    count = 0
+    first = {}
+    for g in enumerate_connected_graphs(n, masks):
+        count += 1
+        first.setdefault((g.m, mc_exact(g).value), g)
+    return count, {
+        key: emit_graph6(from_edges(n, ((n - 1 - u, n - 1 - v) for u, v in g.edges())))
+        for key, g in first.items()
+    }
 
 
 def sweep(n: int, jobs: int = 1) -> SweepResult:
@@ -116,7 +122,7 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
     wit: dict[tuple[int, int], str] = {}
     for c, w in parts:
         count += c
-        _keep_least(wit, w.items())
+        wit = w | wit  # ranges arrive in mask order: an earlier one's witness wins
     # The witness keys are every attained (m, mc) pair; sorted, each m's
     # first key holds its least mc and its last the greatest.
     min_by_m: dict[int, int] = {}
@@ -283,7 +289,7 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
         n=n,
         graph_count=sw.graph_count,
         elapsed=time.perf_counter() - t0,
-        jobs=jobs,
+        jobs=sw.jobs,
         min_mc_by_m=dict(sw.min_mc_by_m),
         max_mc_by_m=dict(sw.max_mc_by_m),
         force_expected=force_exp,
@@ -377,11 +383,6 @@ def _cmd_compute(args) -> int:
     for text in lines:
         try:
             g = parse_graph6(text)
-        except Graph6Error as exc:
-            print(json.dumps({"graph6": text, "error": str(exc)}))
-            status = 1
-            continue
-        try:
             if args.method == "exact":
                 print(mc_exact(g).to_json())
             elif args.method == "bounds":

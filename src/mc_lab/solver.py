@@ -62,8 +62,7 @@ class McCertificate(NamedTuple):
     """Exact mc value plus the evidence for it.
 
     ``coloring`` attains ``value`` and passes verify_mc.  ``method`` is
-    "fast-path" or "branch-and-bound" ("oracle" is reserved for externally
-    checked values and never emitted here); a solve closed by the bounds
+    "fast-path" or "branch-and-bound"; a solve closed by the bounds
     alone counts as a zero-node branch-and-bound, recognizable from the
     trace.  ``bound_trace`` lists every (name, value) bound consulted.
     """

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from mc_lab.coloring import (
     EdgeColoring,
-    classes_are_trees,
     coloring_from_json,
     coloring_to_json,
-    has_no_redundant_class,
     is_simple,
     verify_mc,
 )
@@ -82,10 +80,13 @@ def test_verify_mc_rainbow_complete_graph():
 
 
 def test_classes_are_trees():
+    def trees(col):
+        return all(c.is_tree for c in col.classes())
+
     k3 = complete_graph(3)
-    assert not classes_are_trees(EdgeColoring(k3, [0, 0, 0]))
-    assert classes_are_trees(EdgeColoring(k3, [0, 0, 1]))
-    assert classes_are_trees(EdgeColoring(cycle_graph(4), [0, 0, 0, 1]))
+    assert not trees(EdgeColoring(k3, [0, 0, 0]))
+    assert trees(EdgeColoring(k3, [0, 0, 1]))
+    assert trees(EdgeColoring(cycle_graph(4), [0, 0, 0, 1]))
 
 
 def test_is_simple_detects_two_shared_vertices():
@@ -99,16 +100,6 @@ def test_is_simple_detects_two_shared_vertices():
     assert is_simple(EdgeColoring(c6, [0, 2, 0, 3, 1, 1]))
     with pytest.raises(ValueError):
         is_simple(EdgeColoring(complete_graph(3), [0, 0, 0]))
-
-
-def test_has_no_redundant_class():
-    # a class spanning only a clique could be split apart for free
-    k4 = complete_graph(4)
-    spanning = EdgeColoring(k4, [0, 0, 0, 1, 2, 3])
-    assert not has_no_redundant_class(spanning)
-    assert has_no_redundant_class(EdgeColoring(k4, list(range(6))))
-    c4 = EdgeColoring(cycle_graph(4), [0, 0, 0, 1])
-    assert has_no_redundant_class(c4)
 
 
 def test_json_round_trip():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from mc_lab.coloring import classes_are_trees, is_simple, verify_mc
+from mc_lab.coloring import is_simple, verify_mc
 from mc_lab.constructions import (
     PartitionedGraph,
     _coloring_from_groups,
@@ -50,7 +50,7 @@ def test_spanning_coloring_color_count_and_validity():
             col = spanning_tree_coloring(g)
             assert col.color_count == g.m - n + 2
             assert verify_mc(col) is None
-            assert classes_are_trees(col)
+            assert all(c.is_tree for c in col.classes())
 
 
 def test_spanning_coloring_of_a_tree_uses_one_color():
@@ -296,7 +296,7 @@ def test_anchored_partition_coloring_counts():
         col = anchored_partition_coloring(pg)
         assert col.color_count == comb(n, 2) - 2 * n + 2 * t
         assert verify_mc(col) is None
-        assert classes_are_trees(col)
+        assert all(c.is_tree for c in col.classes())
         assert is_simple(col)
 
 

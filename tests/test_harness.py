@@ -14,9 +14,16 @@ from pathlib import Path
 
 import pytest
 
+from mc_lab import harness
 from mc_lab.coloring import EdgeColoring, coloring_from_json, coloring_to_json, verify_mc
 from mc_lab.formulas import max_edges_capping, min_edges_forcing, table_rows
-from mc_lab.graph_core import cycle_graph, emit_graph6, enumerate_connected_graphs, parse_graph6
+from mc_lab.graph_core import (
+    cycle_graph,
+    emit_graph6,
+    enumerate_connected_graphs,
+    from_edge_mask,
+    parse_graph6,
+)
 from mc_lab.harness import (
     certify,
     empirical_cap_table,
@@ -75,6 +82,32 @@ def test_sweep_parallel_matches_serial(sweep4, sweep5):
         assert par.min_mc_by_m == serial.min_mc_by_m, jobs
         assert par.max_mc_by_m == serial.max_mc_by_m, jobs
         assert par.witness_g6 == serial.witness_g6, jobs
+
+
+def test_sweep_witness_is_each_keys_least_graph6(sweep3, sweep4, sweep5, sweep6, mc_by_mask):
+    # Brute force: encode every labeled graph and keep each key's least string.
+    for sw in (sweep3, sweep4, sweep5, sweep6):
+        least = {}
+        for mask, value in mc_by_mask(sw.n).items():
+            key = (mask.bit_count(), value)
+            g6 = emit_graph6(from_edge_mask(sw.n, mask))
+            if key not in least or g6 < least[key]:
+                least[key] = g6
+        assert sw.witness_g6 == least, sw.n
+
+
+def test_sweep_encodes_witnesses_not_graphs(monkeypatch):
+    calls = []
+    encode = harness.emit_graph6
+
+    def counted(g):
+        calls.append(g)
+        return encode(g)
+
+    monkeypatch.setattr(harness, "emit_graph6", counted)
+    sw = sweep(5)
+    # at most one encode per key in each of the 4 ranges, not one per graph (728)
+    assert len(calls) <= 4 * len(sw.witness_g6) == 32
 
 
 def test_sweep_caps_the_pool_at_the_core_count(monkeypatch, sweep3):
@@ -150,6 +183,11 @@ def test_certify_witness_contract():
         g = parse_graph6(g6)
         assert g.m == report.cap_expected[k] + 1
         assert mc_exact(g).value >= k + 1
+
+
+def test_certify_reports_the_jobs_its_sweep_ran_with():
+    assert certify(3, jobs=0).jobs == 1
+    assert json.loads(certify(3, jobs=-2).to_json())["jobs"] == 1
 
 
 def test_certification_report_serialization():
