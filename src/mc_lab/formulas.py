@@ -42,6 +42,12 @@ def split_graph_base_edges(n: int, t: int) -> int:
     return comb(n - t, 2) + t * (n - t)
 
 
+def _least_t(p: int) -> int:
+    """The least t with C(t,2) >= p, for p >= 1: the fewest vertices holding p pairs."""
+    # C(t-1,2) <= p - 1 < C(t,2), solved for t
+    return (3 + isqrt(8 * p - 7)) // 2
+
+
 def _split_window(n: int, p: int) -> int | None:
     """The window t of p missing edges: the least t >= 2 with C(t,2) >= p.
 
@@ -50,8 +56,7 @@ def _split_window(n: int, p: int) -> int | None:
     """
     if p < 1:
         return None
-    # C(t-1,2) <= p - 1 < C(t,2), solved for t
-    t = (3 + isqrt(8 * p - 7)) // 2
+    t = _least_t(p)
     return t if t < n else None
 
 

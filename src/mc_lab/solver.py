@@ -17,12 +17,13 @@ edge-set partitions directly backs the whole stack in tests.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
 from .constructions import _coloring_from_groups, near_complete_coloring, spanning_tree_coloring
-from .formulas import _split_window
+from .formulas import _least_t, _split_window
 from .graph_core import (
     Graph,
     _bfs_parents,
@@ -260,13 +261,59 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
             upper=ub,
         )
     lb, lb_col, ub, trace = _bounds(g)
-    assert lb <= ub, f"bound inversion on {g!r}: {lb} > {ub}"
+    # Raises, not asserts, so that python -O still checks every value.
+    if lb > ub:
+        raise AssertionError(f"bound inversion on {g!r}: {lb} > {ub}")
     if lb == ub:
         return McCertificate(lb, lb_col, "branch-and-bound", trace)
     value, col = _vertex_set_search(g, lb_col, ub)
-    assert verify_mc(col) is None
-    assert col.color_count == value
+    gap = verify_mc(col)
+    if gap is not None:
+        raise AssertionError(f"search coloring of {g!r} leaves {gap} unconnected")
+    if col.color_count != value:
+        raise AssertionError(f"search coloring of {g!r} has {col.color_count} colors, not {value}")
     return McCertificate(value, col, "branch-and-bound", trace)
+
+
+@lru_cache(maxsize=None)
+def _set_families(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per-n tables of vertex-set families, each a 2^n-bit integer.
+
+    A family has bit S set when it holds the vertex set S.  Returns
+    ``(has, pair, level, upto, inside)``: ``has[x]`` holds the sets
+    containing x, ``pair[x * n + y]`` (x < y) the sets containing both,
+    ``level[k]`` the sets of exactly k vertices and ``upto[k]`` those of
+    at most k.  ``inside[S]`` is no family but the pairs inside S, as
+    bits x * n + y (x < y).  Tuples, because every caller shares them.
+    """
+    # The sets containing x repeat with period 2^(x+1): 2^x sets without
+    # x, then 2^x with it.  Each doubling copies the pattern once more.
+    has = []
+    for x in range(n):
+        fam = ((1 << (1 << x)) - 1) << (1 << x)
+        for width in range(x + 1, n):
+            fam |= fam << (1 << width)
+        has.append(fam)
+    pair = [0] * (n * n)
+    for x in range(n):
+        for y in range(x + 1, n):
+            pair[x * n + y] = has[x] & has[y]
+    # Adding vertex v to every set of a family over vertices < v is a
+    # shift by 2^v.
+    level = [1] + [0] * n
+    for v in range(n):
+        for k in range(v + 1, 0, -1):
+            level[k] |= level[k - 1] << (1 << v)
+    upto = [level[0]]
+    for k in range(1, n + 1):
+        upto.append(upto[-1] | level[k])
+    # The lowest vertex x of S pairs with each vertex of the rest.
+    inside = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        inside[s] = inside[rest] | rest << (low.bit_length() - 1) * n
+    return tuple(has), tuple(pair), tuple(level), tuple(upto), tuple(inside)
 
 
 def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:
@@ -278,71 +325,60 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     colors exists iff some family of connected vertex sets, pairwise
     sharing at most one vertex, puts every nonadjacent pair inside a
     member at total waste m - k, where a set S wastes |S| - 2 and any
-    spanning tree of G[S] realizes its class.  Vertex pairs are bits
-    u * n + v (u < v); a set occupies the pairs inside it and is legal
-    iff the chosen sets occupy none of them.  The search branches on
-    the uncovered pair with the fewest legal candidates and prunes with
-    the pair-coverage capacity of the remaining waste budget.
+    spanning tree of G[S] realizes its class.  The search branches on
+    the uncovered nonadjacent pair with the fewest legal candidates
+    (the lowest such pair on ties), tries them by size and then by
+    ascending S, and prunes with the pair-coverage capacity of the
+    remaining waste budget.
+
+    A set of candidates is one integer over the 2^n vertex sets
+    (``_set_families``).  The connected sets come from a DP over sizes:
+    every connected set on k + 1 vertices is a connected set S on k
+    plus a vertex v outside S with a neighbour in S, since its non-cut
+    vertices exist.  A pair's legal candidates are the live family AND
+    the sets containing both its ends, and a chosen set S makes illegal
+    every set holding two vertices of S.
     """
     n, m = g.n, g.m
     adj = g.adj
-    upper = nonadj = 0
+    has, pair, level, upto, inside = _set_families(n)
+    nonadj = inside[-1]
     for u in range(n):
-        row = ((1 << n) - 1) >> (u + 1) << (u + 1)
-        upper |= row << (u * n)
-        nonadj |= (row & ~adj[u]) << (u * n)
-    np_ = nonadj.bit_count()
+        nonadj &= ~(adj[u] << u * n)
     best_w = m - start_col.color_count
     floor_w = m - ub
     # conv[r]: least total waste able to cover r nonadjacent pairs, since
     # waste w buys a connected set on w + 2 vertices, which holds at least
     # w + 1 edges and so at most C(w+1, 2) nonadjacent pairs, and
-    # splitting waste never helps.
-    conv = [0] * (np_ + 1)
-    for r in range(1, np_ + 1):
-        w = max(conv[r - 1], 1)
-        while comb(w + 1, 2) < r:
-            w += 1
-        conv[r] = w
+    # splitting waste never helps.  The least w with C(w+1, 2) >= r is
+    # one less than the least t with C(t, 2) >= r.
+    conv = [0] + [_least_t(r) - 1 for r in range(1, nonadj.bit_count() + 1)]
 
-    # Every connected set on 3 .. best_w + 1 vertices, rooted at its lowest
-    # vertex and grown through neighbors; a neighbor skipped once is banned
-    # from later siblings, so each set comes out exactly once.  Each set
-    # is filed as (waste, vertex mask, occupied pairs) under every
-    # nonadjacent pair it covers.  With spread = sum of 2^(x*n) over x in
-    # s, the product s * spread has bit x*n + y set iff x, y are in s.
-    cands: dict[int, list[tuple[int, int, int]]] = {}
-    max_size = best_w + 1
-
-    def grow(s: int, spread: int, size: int, ext: int, banned: int) -> None:
-        if size >= 3:
-            occ = s * spread & upper
-            item = (size - 2, s, occ)
-            cov = occ & nonadj
-            while cov:
-                jb = cov & -cov
-                cov ^= jb
-                cands.setdefault(jb.bit_length() - 1, []).append(item)
-        if size == max_size:
-            return
-        while ext:
-            wb = ext & -ext
-            ext ^= wb
-            w = wb.bit_length() - 1
-            s2 = s | wb
-            grow(s2, spread | 1 << w * n, size + 1, (ext | adj[w]) & ~(s2 | banned), banned)
-            banned |= wb
-
-    for r in range(n):
-        low = (2 << r) - 1
-        grow(1 << r, 1 << r * n, 1, adj[r] & ~low, low)
-    for cl in cands.values():
-        cl.sort()
+    # The candidates: every connected set on 3 .. best_w + 1 vertices.
+    # ext[v] holds the sets that v joins into a larger connected set:
+    # those without v that hold a neighbour of v.
+    ext = []
+    for v in range(n):
+        touch = 0
+        for u in bits(adj[v]):
+            touch |= has[u]
+        ext.append(touch & ~has[v])
+    conn = level[1]
+    cands = 0
+    for k in range(2, min(best_w + 1, n) + 1):
+        grown = 0
+        for v in range(n):
+            grown |= (conn & ext[v]) << (1 << v)
+        conn = grown
+        if k >= 3:
+            cands |= conn
 
     best_sets: list[int] | None = None
     done = False
 
-    def dfs(uncov: int, occupied: int, w_used: int, live: dict, chosen: list[int]) -> None:
+    # live: the candidates no chosen set blocks.  Legality only shrinks
+    # along a branch, so a child ANDs away what its own set blocks.
+    def dfs(uncov: int, live: int, w_used: int, chosen: list[int]) -> None:
         nonlocal best_w, best_sets, done
         if uncov == 0:
             best_w = w_used
@@ -352,33 +388,43 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
             return
         if w_used + conv[uncov.bit_count()] >= best_w:
             return
-        # Legal candidates only shrink along a branch, so each node
-        # narrows its parent's lists and hands them to its children.
-        cap = best_w - 1 - w_used
-        narrowed = {}
-        pick_cands: list[tuple[int, int, int]] | None = None
+        top = min(best_w + 1 - w_used, n)
+        live &= upto[top]
+        pick = 0
+        count = -1
         uu = uncov
         while uu:
             jb = uu & -uu
-            j = jb.bit_length() - 1
             uu ^= jb
-            cl = [c for c in live.get(j, ()) if c[0] <= cap and not c[2] & occupied]
-            if not cl:
+            fam = live & pair[jb.bit_length() - 1]
+            c = fam.bit_count()
+            if not c:
                 return
-            narrowed[j] = cl
-            if pick_cands is None or len(cl) < len(pick_cands):
-                pick_cands = cl
-        for w, s, occ in pick_cands:
-            unc2 = uncov & ~occ
-            if w_used + w + conv[unc2.bit_count()] >= best_w:
-                continue
-            chosen.append(s)
-            dfs(unc2, occupied | occ, w_used + w, narrowed, chosen)
-            chosen.pop()
-            if done:
+            if count < 0 or c < count:
+                pick, count = fam, c
+        for k in range(3, top + 1):
+            w = k - 2
+            if w_used + w >= best_w:
                 return
+            sub = pick & level[k]
+            while sub:
+                sb = sub & -sub
+                sub ^= sb
+                s = sb.bit_length() - 1
+                unc2 = uncov & ~inside[s]
+                if w_used + w + conv[unc2.bit_count()] >= best_w:
+                    continue
+                blocked = seen = 0
+                for x in bits(s):
+                    blocked |= has[x] & seen
+                    seen |= has[x]
+                chosen.append(s)
+                dfs(unc2, live & ~blocked, w_used + w, chosen)
+                chosen.pop()
+                if done:
+                    return
 
-    dfs(nonadj, 0, 0, cands, [])
+    dfs(nonadj, cands, 0, [])
     value = m - best_w
     if best_sets is None:
         return value, start_col

@@ -7,9 +7,13 @@ vertex and edge count, solved with the fast path on (1) or off (0), in
 enumeration order.  Bucket ``colorings n=<n> fast=<0|1>`` covers
 [graph6, colors] of the same solves, so the exact trees each class
 takes are pinned too; verify_mc inside mc_exact checks that they are
-valid.  Bucket ``dense-upper-bounds`` covers [graph6, mc_upper_bounds]
-on a seeded set of dense graphs on 8..16 vertices: K_n minus a random
-matching, and anchored partitions relabeled at random.
+valid.  Bucket ``search n=<n>`` covers [graph6, value, colors] for 50
+seeded random graphs on n = 7..9 vertices that miss the fast path and
+whose bounds do not meet, so each value and coloring comes from the
+vertex-set search.  Bucket ``dense-upper-bounds`` covers
+[graph6, mc_upper_bounds] on a seeded set of dense graphs on 8..16
+vertices: K_n minus a random matching, and anchored partitions relabeled
+at random.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``;
 a regeneration then shows up in the diff.
@@ -18,15 +22,18 @@ a regeneration then shows up in the diff.
 import hashlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 from mc_lab.constructions import build_anchored_partition
-from mc_lab.graph_core import emit_graph6, enumerate_connected_graphs, from_edges
-from mc_lab.solver import mc_exact, mc_upper_bounds
+from mc_lab.graph_core import emit_graph6, enumerate_connected_graphs, from_edges, is_connected
+from mc_lab.solver import _bounds, baseline_fast_path, mc_exact, mc_upper_bounds
 
 GOLDEN = Path(__file__).with_name("golden_bounds.json")
 MAX_N = 6
 DENSE_SEED = 20141224
+SEARCH_SEED = 20141225
+SEARCH_PER_N = 50
 
 
 def _line(*fields) -> bytes:
@@ -54,6 +61,20 @@ def dense_graphs():
     return out
 
 
+def searched_graphs(n):
+    """SEARCH_PER_N seeded random n-vertex graphs that reach the search."""
+    rng = random.Random(SEARCH_SEED + n)
+    pairs = list(combinations(range(n), 2))
+    out = []
+    while len(out) < SEARCH_PER_N:
+        g = from_edges(n, rng.sample(pairs, rng.randint(n, len(pairs) - 1)))
+        if is_connected(g) and baseline_fast_path(g) is None:
+            lb, _, ub, _ = _bounds(g)
+            if lb < ub:
+                out.append(g)
+    return out
+
+
 def digests() -> dict[str, str]:
     hashes = {}
     for n in range(2, MAX_N + 1):
@@ -69,6 +90,11 @@ def digests() -> dict[str, str]:
                 hashes.setdefault(f"colorings n={n} fast={fast}", hashlib.sha256()).update(
                     _line(g6, cert.coloring.colors)
                 )
+    for n in (7, 8, 9):
+        h = hashes[f"search n={n}"] = hashlib.sha256()
+        for g in searched_graphs(n):
+            cert = mc_exact(g)
+            h.update(_line(emit_graph6(g), cert.value, cert.coloring.colors))
     dense = hashes["dense-upper-bounds"] = hashlib.sha256()
     for g in dense_graphs():
         dense.update(_line(emit_graph6(g), [list(b) for b in mc_upper_bounds(g)]))

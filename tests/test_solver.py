@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
@@ -39,6 +41,7 @@ from mc_lab.solver import (
     ORACLE_EDGE_CAP,
     ExactSolveRefusedError,
     _bounds,
+    _set_families,
     baseline_fast_path,
     is_s_perfectly_connected,
     mc_exact,
@@ -499,8 +502,46 @@ def test_search_matches_oracle_on_seven_vertex_graphs():
     assert searched > 0
 
 
-@pytest.mark.parametrize("sizes, expect", [([3, 3, 3], 21), ([2, 3, 4], 20)])
+@pytest.mark.parametrize("sizes, expect", [([3, 3, 3], 21), ([2, 3, 4], 20), ([4, 4, 4], 39)])
 def test_dense_multipartite_values(sizes, expect):
     pg = complete_multipartite(sizes)
     assert mc_exact(pg.graph).value == expect
     assert multipartite_star_coloring(pg).color_count == expect
+
+
+def test_search_coloring_is_revalidated_under_python_O():
+    # mc_exact's checks on the search's coloring must survive -O, which
+    # strips assert statements.
+    code = (
+        "import sys\n"
+        "from mc_lab import solver\n"
+        "from mc_lab.graph_core import parse_graph6\n"
+        "solver.verify_mc = lambda col: (0, 1)\n"
+        "try:\n"
+        "    solver.mc_exact(parse_graph6('E}r?'), fast_path=False)\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 search coloring of "), proc.stdout
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_set_families_match_their_definitions(n):
+    has, pair, level, upto, inside = _set_families(n)
+    sets = range(1 << n)
+
+    def family(keep):
+        return sum(1 << s for s in sets if keep(s))
+
+    for x in range(n):
+        assert has[x] == family(lambda s: s >> x & 1)
+        for y in range(x + 1, n):
+            assert pair[x * n + y] == family(lambda s: s >> x & 1 and s >> y & 1)
+    for k in range(n + 1):
+        assert level[k] == family(lambda s: s.bit_count() == k)
+        assert upto[k] == family(lambda s: s.bit_count() <= k)
+    for s in sets:
+        inner = [(x, y) for x, y in combinations(range(n), 2) if s >> x & 1 and s >> y & 1]
+        assert inside[s] == sum(1 << (x * n + y) for x, y in inner)
