@@ -68,14 +68,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, help="run length (default: the parent's run_seconds)")
     args = p.parse_args(argv)
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            result = run_once(getattr(args, side), args.workload, args.seed, seconds)
+            result = run_once(getattr(args, side), args.workload, args.seed, bench["run_seconds"])
             runs[side].append(result)
             print(json.dumps({"pair": i, "side": side, **result}), flush=True)
     for side, results in runs.items():
