@@ -52,7 +52,10 @@ class EdgeColoring:
             )
         if colors:
             used = set(colors)
-            if used != set(range(max(colors) + 1)):
+            # type() rather than isinstance(): bools are ints to isinstance(),
+            # and True, like 1.0, would join the set as 1.  Distinct ints
+            # from 0 whose largest is one less than their count are 0..max.
+            if set(map(type, colors)) != {int} or min(used) or max(used) != len(used) - 1:
                 raise ValueError("color ids must be contiguous integers starting at 0")
         self.graph = graph
         self.colors = colors

@@ -39,18 +39,18 @@ from .graph_core import (
     is_connected,
 )
 
-# Branch-and-bound is exponential; refuse exact solves past this order.
+# The vertex-set search is exponential; refuse to search past this order.
 EXACT_HARD_CAP = 16
 # The reference oracle walks edge partitions; refuse past this size.
 ORACLE_EDGE_CAP = 12
 
 
 class ExactSolveRefusedError(RuntimeError):
-    """Exact solve rejected because the graph is too large.
+    """Exact solve rejected: the bounds leave a graph past EXACT_HARD_CAP open.
 
-    ``lower`` and ``upper`` carry cheap bounds on mc computed before
-    refusing (constructive lower bound; the min-degree and edge-window
-    upper bounds).
+    ``lower`` and ``upper`` carry the interval of ``mc_exact``'s own
+    bounds (the near-complete coloring; the least structural upper
+    bound), which contains mc.
     """
 
     def __init__(self, message: str, lower: int, upper: int):
@@ -175,12 +175,13 @@ def baseline_fast_path(g: Graph) -> str | None:
     and m <= dmax * x with x = n - dmax.  The max-degree inequality then
     holds whenever 2x^2 - (n + 3)x + 3n - 3 > 0, whose discriminant
     n^2 - 18n + 33 is negative for 3 <= n <= 15.  It stays because
-    ``compute --method fast`` takes n up to 62, and there it is the only
-    condition that closes complete bipartite graphs such as K_{5,11}
-    (the one case at n = 16) and K_{6,14}.
+    ``mc_exact`` and ``compute --method fast`` take n up to 62, and there
+    it is the only condition that closes complete bipartite graphs such
+    as K_{5,11} (the one case at n = 16) and K_{6,14}.
 
-    Raises ValueError on disconnected input; this is the one
-    connectivity check of an ``mc_exact`` call that takes the fast path.
+    Raises ValueError on disconnected input.  This is the one
+    connectivity check of every ``mc_exact`` call with the fast path on,
+    at any size.
     """
     if not is_connected(g):
         raise ValueError("requires a connected graph")
@@ -217,32 +218,24 @@ def _bounds(g: Graph) -> tuple[int, EdgeColoring, int, tuple[tuple[str, int], ..
     return lb, lb_col, min(v for _, v in ubs), trace
 
 
-def _cheap_bounds(g: Graph) -> tuple[int, int]:
-    """Bounds safe to compute at any size, for refusal messages."""
-    n, m = g.n, g.m
-    lb = near_complete_coloring(g).color_count
-    ub = m - n + min(g.degree(v) for v in range(n)) + 1
-    t = _split_window(n, comb(n, 2) - m)
-    if t is not None:
-        ub = min(ub, m - t + 1)
-    return lb, ub
-
-
 def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
     """Exact mc(g) with an attaining coloring and a bound trace.
 
-    Raises ValueError on disconnected input and ExactSolveRefusedError
-    past EXACT_HARD_CAP vertices.  ``fast_path=False`` skips the cheap
-    structural conditions and forces the bound-and-search route, which
-    is how the fast path itself gets regression-tested.
+    One pipeline at every size: the connectivity check, the fast path,
+    then the bounds, returning as soon as either closes the value.  Only
+    the search is size-capped: a graph past EXACT_HARD_CAP vertices that
+    the bounds leave open raises ExactSolveRefusedError with their
+    interval.  Raises ValueError on disconnected input.
+    ``fast_path=False`` skips the cheap structural conditions and forces
+    the bound-and-search route, which is how the fast path itself gets
+    regression-tested.
 
     Connectivity is checked once per call: by ``baseline_fast_path``
-    when the fast path runs (n <= EXACT_HARD_CAP), and here otherwise,
-    before the size refusal, so a disconnected graph of any size gets
-    ValueError.
+    when the fast path runs, and here otherwise, so a disconnected graph
+    of any size gets ValueError.
     """
     n, m = g.n, g.m
-    if fast_path and n <= EXACT_HARD_CAP:
+    if fast_path:
         try:
             reason = baseline_fast_path(g)
         except ValueError:
@@ -252,20 +245,19 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
             return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", trace)
     elif not is_connected(g):
         raise ValueError("mc is only defined for connected graphs")
-    if n > EXACT_HARD_CAP:
-        lb, ub = _cheap_bounds(g)
-        raise ExactSolveRefusedError(
-            f"refusing exact solve for n={n} > {EXACT_HARD_CAP}; "
-            f"mc is within [{lb}, {ub}]",
-            lower=lb,
-            upper=ub,
-        )
     lb, lb_col, ub, trace = _bounds(g)
     # Raises, not asserts, so that python -O still checks every value.
     if lb > ub:
         raise AssertionError(f"bound inversion on {g!r}: {lb} > {ub}")
     if lb == ub:
         return McCertificate(lb, lb_col, "branch-and-bound", trace)
+    if n > EXACT_HARD_CAP:
+        raise ExactSolveRefusedError(
+            f"refusing exact solve for n={n} > {EXACT_HARD_CAP}; "
+            f"mc is within [{lb}, {ub}]",
+            lower=lb,
+            upper=ub,
+        )
     value, col = _vertex_set_search(g, lb_col, ub)
     gap = verify_mc(col)
     if gap is not None:

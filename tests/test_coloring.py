@@ -54,6 +54,13 @@ def test_coloring_rejects_bad_color_lists():
         EdgeColoring(c4, [1, 1, 1, 2])  # does not start at 0
 
 
+@pytest.mark.parametrize("colors", [[True, False], [0.0, 1.0], [0, True], [0, 1.0], ["0", "1"]])
+def test_coloring_rejects_ids_that_are_not_ints(colors):
+    # JSON would write bools as true/false, which coloring_from_json rejects.
+    with pytest.raises(ValueError, match="^color ids must be contiguous integers starting at 0$"):
+        EdgeColoring(path_graph(3), colors)
+
+
 def test_verify_mc_accepts_spanning_class():
     col = EdgeColoring(cycle_graph(4), [0, 0, 0, 1])
     assert verify_mc(col) is None

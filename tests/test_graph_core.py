@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mc_lab import graph_core
 from mc_lab.graph_core import (
     ENUMERATION_MAX_VERTICES,
     Graph,
@@ -396,6 +397,14 @@ _GROETZSCH = from_edges(
 @example(_GROETZSCH)
 def test_chromatic_number_against_subset_dp(g):
     assert _chromatic_number(g) == _subset_dp_chromatic(g)
+
+
+def test_chromatic_number_past_its_node_budget_returns_the_greedy_count(monkeypatch):
+    # The crown graph's greedy count is 4 and chi is 2.  With no node to
+    # spend, no k below 4 is proved, so the greedy count, still an upper
+    # bound on chi, stands.
+    monkeypatch.setattr(graph_core, "_CHI_NODE_BUDGET", 0)
+    assert _chromatic_number(_CROWN) == 4 >= _subset_dp_chromatic(_CROWN) == 2
 
 
 # Two disjoint triangles: removing any vertex leaves the rest disconnected.

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import random
 import resource
 import shutil
 import subprocess
@@ -22,6 +23,7 @@ from mc_lab.graph_core import (
     emit_graph6,
     enumerate_connected_graphs,
     from_edge_mask,
+    from_edges,
     parse_graph6,
 )
 from mc_lab.harness import (
@@ -329,27 +331,59 @@ def test_cli_compute_bounds_trace_matches_the_solver():
 
 
 def test_cli_compute_refusal_takes_the_edge_window():
-    # K_17 minus the disjoint edges 01 and 23: the t = 3 edge window gives
-    # 134 - 3 + 1 = 132, below the degree cap 134 - 17 + 15 + 1 = 133.
-    proc = run_cli("compute", "--graph6", "P]~~~~~~~~~~~~~~~~~~~~~{")
+    # A refusal carries the bounds' interval.  On this n = 17 graph the
+    # t = 6 edge window, 119, is the least upper bound: the chromatic and
+    # min-degree bounds give 120.
+    proc = run_cli("compute", "--graph6", "P~|~~vz~F~~~~~~~n}v~~~L{")
     assert proc.returncode == 1
     assert proc.stdout == (
-        '{"graph6": "P]~~~~~~~~~~~~~~~~~~~~~{", "error": "refusing exact solve for n=17 > 16; '
-        'mc is within [132, 132]", "lower": 132, "upper": 132}\n'
+        '{"graph6": "P~|~~vz~F~~~~~~~n}v~~~L{", "error": "refusing exact solve for n=17 > 16; '
+        'mc is within [115, 119]", "lower": 115, "upper": 119}\n'
     )
+    # K_17 minus the disjoint edges 01 and 23: the t = 3 edge window meets
+    # the lower bound at 132, so no search is needed and the value stands.
+    proc = run_cli("compute", "--graph6", "P]~~~~~~~~~~~~~~~~~~~~~{")
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert (doc["value"], doc["method"]) == (132, "branch-and-bound")
+    assert ["upper:edge-window(t=3)", 132] in doc["bound_trace"]
 
 
 def test_cli_compute_exact_stdout_is_exact():
+    # K_17 closes on the bounds with its rainbow coloring.
+    k17_edges = ", ".join(f"[{u}, {v}]" for u in range(17) for v in range(u + 1, 17))
+    k17_colors = ", ".join(map(str, range(136)))
     proc = run_cli("compute", stdin="E]~o\nP~~~~~~~~~~~~~~~~~~~~~~{\n")
+    assert proc.returncode == 0
     assert proc.stdout.splitlines() == [
         '{"value": 9, "method": "branch-and-bound", "bound_trace": [["lower:spanning-tree", 8], '
         '["lower:near-complete", 9], ["upper:chromatic", 9], ["upper:connectivity", 11], '
         '["upper:min-degree", 10], ["upper:edge-window(t=3)", 10]], "coloring": {"graph6": "E]~o", '
         '"edges": [[0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [1, 5], [2, 4], [2, 5], '
         '[3, 4], [3, 5]], "colors": [0, 0, 1, 2, 3, 4, 1, 5, 6, 6, 7, 8]}}',
-        '{"graph6": "P~~~~~~~~~~~~~~~~~~~~~~{", "error": "refusing exact solve for n=17 > 16; '
-        'mc is within [136, 136]", "lower": 136, "upper": 136}',
+        '{"value": 136, "method": "branch-and-bound", "bound_trace": [["lower:spanning-tree", 121], '
+        '["lower:near-complete", 136], ["upper:chromatic", 136], ["upper:connectivity", 136], '
+        '["upper:min-degree", 136]], "coloring": {"graph6": "P~~~~~~~~~~~~~~~~~~~~~~{", '
+        f'"edges": [{k17_edges}], "colors": [{k17_colors}]}}}}',
     ]
+
+
+def test_cli_compute_bounds_finishes_on_dense_62_vertex_input():
+    # G(62, 1/2) from random.Random(1), each pair an edge when
+    # rng.random() < 0.5.  Refuting k colors here runs for minutes; the
+    # chromatic node budget ends it, and the greedy count stands.
+    rng = random.Random(1)
+    g = from_edges(62, [(u, v) for u in range(62) for v in range(u + 1, 62) if rng.random() < 0.5])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mc_lab", "compute", "--method", "bounds", "--graph6", emit_graph6(g)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["lower"], doc["upper"]) == (865, 877)
+    assert ["upper:chromatic", 877] in doc["bound_trace"]
 
 
 def test_cli_compute_fast_method():

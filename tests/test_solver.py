@@ -30,6 +30,7 @@ from mc_lab.graph_core import (
     cycle_graph,
     edge_list,
     edge_mask,
+    emit_graph6,
     enumerate_connected_graphs,
     from_edge_mask,
     from_edges,
@@ -417,17 +418,50 @@ def test_exact_rejects_disconnected_input_past_the_cap():
 
 
 def test_exact_refuses_oversized_input():
-    g = path_graph(EXACT_HARD_CAP + 1)
+    # Past the cap only a search is refused: the path closes on the fast
+    # path and K_20 on the bounds.  K_{3,3,3,4,4} (n = 17) is left open by
+    # both, so the refusal carries the bounds' own interval.
+    assert mc_exact(path_graph(EXACT_HARD_CAP + 1)).method == "fast-path"
+    assert mc_exact(complete_graph(20)).value == comb(20, 2)
+    g = complete_multipartite([3, 3, 3, 4, 4]).graph
     with pytest.raises(ExactSolveRefusedError) as info:
         mc_exact(g)
     err = info.value
-    assert err.lower == 1 and err.upper == 1
-    assert str(EXACT_HARD_CAP) in str(err)
-    dense = complete_graph(20)
-    with pytest.raises(ExactSolveRefusedError) as info2:
-        mc_exact(dense)
-    assert info2.value.lower == comb(20, 2)
-    assert info2.value.upper >= info2.value.lower
+    lb, _, ub, _ = _bounds(g)
+    assert (err.lower, err.upper) == (lb, ub) == (100, 103)
+    assert str(err) == f"refusing exact solve for n=17 > {EXACT_HARD_CAP}; mc is within [100, 103]"
+
+
+def test_refusal_intervals_contain_the_known_value():
+    # K_{3,3,3,4,4}: mc = m - n + r with r = 5 parts.  The augmented split
+    # graph's coloring attains its edge window m - t + 1.
+    pg = complete_multipartite([3, 3, 3, 4, 4])
+    split, split_col = build_augmented_split_graph(17, 7, 1)
+    known = [
+        (pg.graph, pg.graph.m - pg.graph.n + 5),
+        (split, split.m - 7 + 1),
+    ]
+    for g, mc in known:
+        with pytest.raises(ExactSolveRefusedError) as info:
+            mc_exact(g)
+        assert info.value.lower <= mc <= info.value.upper, emit_graph6(g)
+    assert split_col.color_count == split.m - 7 + 1 and verify_mc(split_col) is None
+
+
+def test_answers_past_the_cap_carry_verified_colorings():
+    # K_17 closes on the bounds; K_{6,14} (n = 20) on the triangle-free
+    # condition of the fast path.
+    cases = [
+        (complete_graph(17), 136, "upper:chromatic"),
+        (complete_multipartite([6, 14]).graph, 84 - 20 + 2, "fast:baseline(triangle-free)"),
+    ]
+    for g, value, entry in cases:
+        cert = mc_exact(g)
+        assert cert.value == value
+        assert entry in dict(cert.bound_trace)
+        assert cert.coloring.graph == g
+        assert cert.coloring.color_count == value
+        assert verify_mc(cert.coloring) is None
 
 
 # ---------------------------------------------------------------------------
