@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Any, NamedTuple
+from typing import Any, Hashable, Iterable, NamedTuple
 
 from .graph_core import Edge, Graph, _mask_components, bits, emit_graph6, parse_graph6
 
@@ -173,6 +173,16 @@ def coloring_to_json(col: EdgeColoring) -> str:
     return json.dumps(_coloring_doc(col))
 
 
+def _numbered(g: Graph, keys: Iterable[Hashable]) -> EdgeColoring:
+    """The coloring of g whose edges share a color exactly when their keys match.
+
+    ``keys`` runs parallel to g's lexicographic edge order, and color ids
+    go by first appearance in that order.
+    """
+    ids: dict[Hashable, int] = {}
+    return EdgeColoring(g, [ids.setdefault(k, len(ids)) for k in keys])
+
+
 def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
     """Load a coloring; listed edge order is free, ids are renumbered densely."""
     if isinstance(data, str):
@@ -223,10 +233,4 @@ def coloring_from_json(data: dict[str, Any] | str) -> EdgeColoring:
     if any(c is None for c in assigned):
         missing = elist[assigned.index(None)]
         raise ValueError(f"edge {missing} has no color")
-    remap: dict[int, int] = {}
-    dense = []
-    for c in assigned:
-        if c not in remap:
-            remap[c] = len(remap)
-        dense.append(remap[c])
-    return EdgeColoring(g, dense)
+    return _numbered(g, assigned)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _numbered
 from .graph_core import (
     Edge,
     Graph,
@@ -96,9 +96,7 @@ def _coloring_from_groups(g: Graph, groups: list[list[Edge]]) -> EdgeColoring:
                 raise ValueError(f"edge ({u}, {v}) appears in two groups")
             owner[(u, v)] = gi
     # A group is keyed by its index, a leftover edge by itself.
-    ids: dict[int | Edge, int] = {}
-    colors = [ids.setdefault(owner.get(e, e), len(ids)) for e in g.edges()]
-    return EdgeColoring(g, colors)
+    return _numbered(g, [owner.get(e, e) for e in g.edges()])
 
 
 def _star_groups(centers: Sequence[int], parts: Sequence[Sequence[int]]) -> list[list[Edge]]:
@@ -161,12 +159,11 @@ def near_complete_coloring(g: Graph) -> EdgeColoring:
     for u in range(n):
         if cadj[u]:
             tilde |= 1 << u
-    if not tilde:  # complete graph
-        return _coloring_from_groups(g, [])
     groups: list[list[Edge]]
     if tilde.bit_count() <= p + 1:
         # Few vertices miss anything; a single star from a full-degree
-        # vertex reaches all of them.
+        # vertex reaches all of them.  A complete graph gets the empty
+        # star from vertex 0, so every edge has a color of its own.
         center = next(u for u in range(n) if g.degree(u) == n - 1)
         groups = [[(center, u) for u in bits(tilde)]]
     else:

@@ -375,10 +375,12 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_compute(args) -> int:
+    # stdin is read lazily and each answer flushed, so a reader sees every
+    # line's answer before the next line is solved.
     if args.graph6 is not None:
         lines = [args.graph6]
     else:
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
+        lines = (ln.strip() for ln in sys.stdin if ln.strip())
     status = 0
     for text in lines:
         try:
@@ -424,6 +426,7 @@ def _cmd_compute(args) -> int:
         except ValueError as exc:
             print(json.dumps({"graph6": text, "error": str(exc)}))
             status = 1
+        sys.stdout.flush()
     return status
 
 

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
@@ -272,11 +274,10 @@ def _set_families(n: int) -> tuple[tuple[int, ...], ...]:
     """Per-n tables of vertex-set families, each a 2^n-bit integer.
 
     A family has bit S set when it holds the vertex set S.  Returns
-    ``(has, pair, level, upto, inside)``: ``has[x]`` holds the sets
-    containing x, ``pair[x * n + y]`` (x < y) the sets containing both,
-    ``level[k]`` the sets of exactly k vertices and ``upto[k]`` those of
-    at most k.  ``inside[S]`` is no family but the pairs inside S, as
-    bits x * n + y (x < y).  Tuples, because every caller shares them.
+    ``(has, pair, inside)``: ``has[x]`` holds the sets containing x and
+    ``pair[x * n + y]`` (x < y) the sets containing both.  ``inside[S]``
+    is no family but the pairs inside S, as bits x * n + y (x < y).
+    Tuples, because every caller shares them.
     """
     # The sets containing x repeat with period 2^(x+1): 2^x sets without
     # x, then 2^x with it.  Each doubling copies the pattern once more.
@@ -290,22 +291,13 @@ def _set_families(n: int) -> tuple[tuple[int, ...], ...]:
     for x in range(n):
         for y in range(x + 1, n):
             pair[x * n + y] = has[x] & has[y]
-    # Adding vertex v to every set of a family over vertices < v is a
-    # shift by 2^v.
-    level = [1] + [0] * n
-    for v in range(n):
-        for k in range(v + 1, 0, -1):
-            level[k] |= level[k - 1] << (1 << v)
-    upto = [level[0]]
-    for k in range(1, n + 1):
-        upto.append(upto[-1] | level[k])
     # The lowest vertex x of S pairs with each vertex of the rest.
     inside = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         rest = s ^ low
         inside[s] = inside[rest] | rest << (low.bit_length() - 1) * n
-    return tuple(has), tuple(pair), tuple(level), tuple(upto), tuple(inside)
+    return tuple(has), tuple(pair), tuple(inside)
 
 
 def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:
@@ -324,16 +316,18 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     remaining waste budget.
 
     A set of candidates is one integer over the 2^n vertex sets
-    (``_set_families``).  The connected sets come from a DP over sizes:
-    every connected set on k + 1 vertices is a connected set S on k
-    plus a vertex v outside S with a neighbour in S, since its non-cut
-    vertices exist.  A pair's legal candidates are the live family AND
-    the sets containing both its ends, and a chosen set S makes illegal
-    every set holding two vertices of S.
+    (``_set_families``).  The connected sets come from a DP over sizes,
+    seeded with the one-vertex sets: every connected set on k + 1
+    vertices is a connected set S on k plus a vertex v outside S with a
+    neighbour in S, since its non-cut vertices exist.  The DP keeps its
+    families by size, so the waste budget left is one AND with the
+    candidates of at most so many vertices.  A pair's legal candidates
+    are the live family AND the sets containing both its ends, and a
+    chosen set S makes illegal every set holding two vertices of S.
     """
     n, m = g.n, g.m
     adj = g.adj
-    has, pair, level, upto, inside = _set_families(n)
+    has, pair, inside = _set_families(n)
     nonadj = inside[-1]
     for u in range(n):
         nonadj &= ~(adj[u] << u * n)
@@ -346,42 +340,44 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     # one less than the least t with C(t, 2) >= r.
     conv = [0] + [_least_t(r) - 1 for r in range(1, nonadj.bit_count() + 1)]
 
-    # The candidates: every connected set on 3 .. best_w + 1 vertices.
-    # ext[v] holds the sets that v joins into a larger connected set:
-    # those without v that hold a neighbour of v.
+    # The candidates: every connected set on 3 .. best_w + 1 vertices,
+    # size[k] those on exactly k and fit[t] those on at most t.  ext[v]
+    # holds the sets that v joins into a larger connected set: those
+    # without v that hold a neighbour of v.  Adding v to every set of a
+    # family is a shift by 2^v; conn starts as the one-vertex sets.
     ext = []
+    conn = 0
     for v in range(n):
         touch = 0
         for u in bits(adj[v]):
             touch |= has[u]
         ext.append(touch & ~has[v])
-    conn = level[1]
-    cands = 0
+        conn |= 1 << (1 << v)
+    size = [0] * (n + 1)
     for k in range(2, min(best_w + 1, n) + 1):
         grown = 0
         for v in range(n):
             grown |= (conn & ext[v]) << (1 << v)
         conn = grown
         if k >= 3:
-            cands |= conn
+            size[k] = conn
+    fit = list(accumulate(size, or_))
 
     best_sets: list[int] | None = None
-    done = False
 
     # live: the candidates no chosen set blocks.  Legality only shrinks
-    # along a branch, so a child ANDs away what its own set blocks.
-    def dfs(uncov: int, live: int, w_used: int, chosen: list[int]) -> None:
-        nonlocal best_w, best_sets, done
+    # along a branch, so a child ANDs away what its own set blocks.  True
+    # once a family meets the upper bound, which ends the search.
+    def dfs(uncov: int, live: int, w_used: int, chosen: list[int]) -> bool:
+        nonlocal best_w, best_sets
         if uncov == 0:
             best_w = w_used
             best_sets = list(chosen)
-            if best_w <= floor_w:
-                done = True
-            return
+            return best_w <= floor_w
         if w_used + conv[uncov.bit_count()] >= best_w:
-            return
+            return False
         top = min(best_w + 1 - w_used, n)
-        live &= upto[top]
+        live &= fit[top]
         pick = 0
         count = -1
         uu = uncov
@@ -391,14 +387,14 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
             fam = live & pair[jb.bit_length() - 1]
             c = fam.bit_count()
             if not c:
-                return
+                return False
             if count < 0 or c < count:
                 pick, count = fam, c
         for k in range(3, top + 1):
             w = k - 2
             if w_used + w >= best_w:
-                return
-            sub = pick & level[k]
+                return False
+            sub = pick & size[k]
             while sub:
                 sb = sub & -sub
                 sub ^= sb
@@ -411,12 +407,12 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
                     blocked |= has[x] & seen
                     seen |= has[x]
                 chosen.append(s)
-                dfs(unc2, live & ~blocked, w_used + w, chosen)
+                if dfs(unc2, live & ~blocked, w_used + w, chosen):
+                    return True
                 chosen.pop()
-                if done:
-                    return
+        return False
 
-    dfs(nonadj, cands, 0, [])
+    dfs(nonadj, fit[-1], 0, [])
     value = m - best_w
     if best_sets is None:
         return value, start_col

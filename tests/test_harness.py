@@ -368,6 +368,29 @@ def test_cli_compute_exact_stdout_is_exact():
     ]
 
 
+def test_cli_compute_answers_each_line_before_stdin_closes():
+    # A reader must see a line's answer while stdin is still open.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mc_lab", "compute"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    with proc, concurrent.futures.ThreadPoolExecutor(1) as pool:
+        try:
+            proc.stdin.write("E]~o\n")
+            proc.stdin.flush()
+            first = pool.submit(proc.stdout.readline)
+            answered, _ = concurrent.futures.wait([first], timeout=10)
+            proc.stdin.close()
+            proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert answered, "no answer before stdin closed"
+    assert json.loads(first.result())["value"] == 9
+    assert proc.returncode == 0
+
+
 def test_cli_compute_bounds_finishes_on_dense_62_vertex_input():
     # G(62, 1/2) from random.Random(1), each pair an edge when
     # rng.random() < 0.5.  Refuting k colors here runs for minutes; the

@@ -19,6 +19,7 @@ from mc_lab.constructions import (
     build_diameter_three_witness,
     complete_multipartite,
     multipartite_star_coloring,
+    near_complete_coloring,
 )
 from mc_lab.formulas import split_graph_base_edges
 from mc_lab.graph_core import (
@@ -43,6 +44,7 @@ from mc_lab.solver import (
     ExactSolveRefusedError,
     _bounds,
     _set_families,
+    _vertex_set_search,
     baseline_fast_path,
     is_s_perfectly_connected,
     mc_exact,
@@ -536,6 +538,22 @@ def test_search_matches_oracle_on_seven_vertex_graphs():
     assert searched > 0
 
 
+def test_search_without_an_upper_bound_matches_mc_exact(mc_by_mask):
+    # With ub = m no family meets the bound, so the search walks every
+    # per-size family to exhaustion on each graph the fast path leaves open.
+    open_graphs = 0
+    for n in (5, 6):
+        for g in enumerate_connected_graphs(n):
+            if baseline_fast_path(g) is not None:
+                continue
+            open_graphs += 1
+            value, col = _vertex_set_search(g, near_complete_coloring(g), g.m)
+            assert value == mc_by_mask(n)[edge_mask(g)], edge_mask(g)
+            assert verify_mc(col) is None, edge_mask(g)
+            assert col.color_count == value, edge_mask(g)
+    assert open_graphs == 4014
+
+
 @pytest.mark.parametrize("sizes, expect", [([3, 3, 3], 21), ([2, 3, 4], 20), ([4, 4, 4], 39)])
 def test_dense_multipartite_values(sizes, expect):
     pg = complete_multipartite(sizes)
@@ -563,7 +581,7 @@ def test_search_coloring_is_revalidated_under_python_O():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_set_families_match_their_definitions(n):
-    has, pair, level, upto, inside = _set_families(n)
+    has, pair, inside = _set_families(n)
     sets = range(1 << n)
 
     def family(keep):
@@ -573,9 +591,6 @@ def test_set_families_match_their_definitions(n):
         assert has[x] == family(lambda s: s >> x & 1)
         for y in range(x + 1, n):
             assert pair[x * n + y] == family(lambda s: s >> x & 1 and s >> y & 1)
-    for k in range(n + 1):
-        assert level[k] == family(lambda s: s.bit_count() == k)
-        assert upto[k] == family(lambda s: s.bit_count() <= k)
     for s in sets:
         inner = [(x, y) for x, y in combinations(range(n), 2) if s >> x & 1 and s >> y & 1]
         assert inside[s] == sum(1 << (x * n + y) for x, y in inner)

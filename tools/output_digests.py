@@ -17,11 +17,18 @@ take about 15 s:
   connected graphs, one digest per size range and method.  For each n,
   ``random.Random(n)`` draws an edge probability p in [0.3, 1) and then
   each pair as an edge with probability p, keeping connected graphs
-  only: 30 per n for n = 7..16 and 3 per n for n = 17..62.  The exact
-  method runs on the larger range only, since an exact search at n <= 16
-  can run for minutes; past 16 vertices ``mc_exact`` never searches.
-  These take about 75 s more, most of it in the chromatic number of
-  the larger graphs, which no earlier kind reaches.
+  only: 30 per n for n = 7..16 and 3 per n for n = 17..62, all three
+  methods on the larger range (past 16 vertices ``mc_exact`` never
+  searches) and bounds and fast on the smaller.  These take about 75 s
+  more, most of it in the chromatic number of the larger graphs, which
+  no earlier kind reaches;
+- seeded exact compute: ``compute`` (exact) over the n = 7..12 part of
+  the n = 7..16 list, since an exact search at n = 13..16 can run for
+  minutes.  In about 3 s, 85 of its 180 lines reach the vertex-set
+  search, 40 of them at n = 11, 12;
+- construct: ``construct F ...`` stdout for the five families at the
+  fixed parameters of ``CONSTRUCT``, each followed by the ``verify``
+  stdout of its coloring line.
 
 Run from anywhere:
 
@@ -58,6 +65,24 @@ def run(argv: list[str], stdin: str = "") -> str:
     finally:
         sys.stdin = saved
     return out.getvalue()
+
+
+# One argv tail per family member that the construct digest builds.
+CONSTRUCT = [
+    "anchored --n 6 --t 3", "anchored --n 9 --t 3", "anchored --n 12 --t 5",
+    "split --n 7 --t 3 --extra 1", "split --n 9 --t 4", "split --n 12 --t 5 --extra 3",
+    "diam3 --n 5", "diam3 --n 9", "deg2 --n 5", "deg2 --n 9",
+    "multipartite --sizes 2,2,3", "multipartite --sizes 1,3,4",
+    "multipartite --sizes 3,5", "multipartite --sizes 2,2,2,2,2",
+]
+
+
+def construct_texts():
+    """Each member's ``construct`` stdout, then ``verify`` on its coloring line."""
+    for tail in CONSTRUCT:
+        out = run(["construct", *tail.split()])
+        yield out
+        yield run(["verify"], out.splitlines()[-1])
 
 
 def digest(texts) -> str:
@@ -99,11 +124,13 @@ def main() -> None:
     for sizes, per_n, methods in (
         (range(7, 17), 30, ("bounds", "fast")),
         (range(17, 63), 3, ("exact", "bounds", "fast")),
+        (range(7, 13), 30, ("exact",)),
     ):
         lines = seeded_lines(sizes, per_n)
         for method in methods:
             label = f"compute n={sizes.start}..{sizes.stop - 1} {method}"
             print(label, digest([run(["compute", "--method", method], lines)]))
+    print("construct", digest(construct_texts()))
 
 
 if __name__ == "__main__":
