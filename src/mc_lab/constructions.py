@@ -140,6 +140,15 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
     return col
 
 
+def _tree_start(g: Graph) -> bool:
+    """Whether ``near_complete_coloring(g)`` is the spanning-tree coloring.
+
+    It is when p >= n - 2 edges are missing: the tree wastes n - 2 <= p
+    colors.  With fewer missing edges the stars waste at most p < n - 2.
+    """
+    return comb(g.n, 2) - g.m >= g.n - 2
+
+
 def near_complete_coloring(g: Graph) -> EdgeColoring:
     """Coloring that wastes at most p colors, where p counts the missing edges.
 
@@ -150,7 +159,7 @@ def near_complete_coloring(g: Graph) -> EdgeColoring:
     n = g.n
     p = comb(n, 2) - g.m
     # A disconnected graph misses p >= n - 1 edges, so its BFS raises here.
-    if p >= n - 2:
+    if _tree_start(g):
         col = spanning_tree_coloring(g)
         assert col.waste <= p
         return col

@@ -24,7 +24,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .coloring import EdgeColoring, _coloring_doc, verify_mc
-from .constructions import _coloring_from_groups, near_complete_coloring, spanning_tree_coloring
+from .constructions import _coloring_from_groups, _tree_start, near_complete_coloring, spanning_tree_coloring
 from .formulas import _least_t, _split_window
 from .graph_core import (
     Graph,
@@ -204,19 +204,27 @@ def baseline_fast_path(g: Graph) -> str | None:
     return None
 
 
-def _bounds(g: Graph) -> tuple[int, EdgeColoring, int, tuple[tuple[str, int], ...]]:
+def _bounds(g: Graph) -> tuple[int, EdgeColoring | None, int, tuple[tuple[str, int], ...]]:
     """Lower bound, its coloring, upper bound and the trace of every bound.
 
-    The near-complete coloring is the spanning-tree coloring when p >= n - 2
-    edges are missing and wastes at most p colors otherwise, so it never
-    has fewer than the spanning tree's m - n + 2; the trace lists both.
-    Private because the benchmark tracer wraps public functions only and
-    reads these two calls as ``mc_exact``'s own lower and upper phases.
+    The lower bound is the near-complete coloring's count.  When p >= n - 2
+    edges are missing that coloring is the spanning tree's, so the count is
+    m - n + 2 and the coloring is None: only a caller that returns it
+    builds it, with ``spanning_tree_coloring``.  Otherwise the coloring is
+    built, since its count comes from building it, and it wastes at most
+    p colors, never fewer colors than the spanning tree's m - n + 2; the
+    trace lists both.  Expects a connected graph.  Private because the
+    benchmark tracer wraps public functions only and reads the two calls
+    as ``mc_exact``'s own lower and upper phases.
     """
-    lb_col = near_complete_coloring(g)
-    lb = lb_col.color_count
+    tree = g.m - g.n + 2
+    if _tree_start(g):
+        lb, lb_col = tree, None
+    else:
+        lb_col = near_complete_coloring(g)
+        lb = lb_col.color_count
     ubs = mc_upper_bounds(g)
-    trace = (("lower:spanning-tree", g.m - g.n + 2), ("lower:near-complete", lb), *ubs)
+    trace = (("lower:spanning-tree", tree), ("lower:near-complete", lb), *ubs)
     return lb, lb_col, min(v for _, v in ubs), trace
 
 
@@ -235,6 +243,10 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
     Connectivity is checked once per call: by ``baseline_fast_path``
     when the fast path runs, and here otherwise, so a disconnected graph
     of any size gets ValueError.
+
+    The search starts from the lower bound's count, not its coloring.  A
+    spanning-tree start is built only when it is the answer: when the
+    bounds meet, or when the search finds no family with more colors.
     """
     n, m = g.n, g.m
     if fast_path:
@@ -252,7 +264,8 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
     if lb > ub:
         raise AssertionError(f"bound inversion on {g!r}: {lb} > {ub}")
     if lb == ub:
-        return McCertificate(lb, lb_col, "branch-and-bound", trace)
+        col = spanning_tree_coloring(g) if lb_col is None else lb_col
+        return McCertificate(lb, col, "branch-and-bound", trace)
     if n > EXACT_HARD_CAP:
         raise ExactSolveRefusedError(
             f"refusing exact solve for n={n} > {EXACT_HARD_CAP}; "
@@ -260,7 +273,9 @@ def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
             lower=lb,
             upper=ub,
         )
-    value, col = _vertex_set_search(g, lb_col, ub)
+    value, col = _vertex_set_search(g, lb, ub)
+    if col is None:
+        col = spanning_tree_coloring(g) if lb_col is None else lb_col
     gap = verify_mc(col)
     if gap is not None:
         raise AssertionError(f"search coloring of {g!r} leaves {gap} unconnected")
@@ -274,10 +289,15 @@ def _set_families(n: int) -> tuple[tuple[int, ...], ...]:
     """Per-n tables of vertex-set families, each a 2^n-bit integer.
 
     A family has bit S set when it holds the vertex set S.  Returns
-    ``(has, pair, inside)``: ``has[x]`` holds the sets containing x and
-    ``pair[x * n + y]`` (x < y) the sets containing both.  ``inside[S]``
-    is no family but the pairs inside S, as bits x * n + y (x < y).
-    Tuples, because every caller shares them.
+    ``(has, pair, inside, conv)``: ``has[x]`` holds the sets containing x
+    and ``pair[x * n + y]`` (x < y) the sets containing both.
+    ``inside[S]`` is no family but the pairs inside S, as bits
+    x * n + y (x < y).  ``conv[r]``, for r <= C(n, 2), is the least
+    total waste able to cover r nonadjacent pairs: waste w buys a
+    connected set on w + 2 vertices, which holds at least w + 1 edges
+    and so at most C(w+1, 2) nonadjacent pairs, and splitting waste
+    never helps.  The least w with C(w+1, 2) >= r is one less than the
+    least t with C(t, 2) >= r.  Tuples, because every caller shares them.
     """
     # The sets containing x repeat with period 2^(x+1): 2^x sets without
     # x, then 2^x with it.  Each doubling copies the pattern once more.
@@ -297,10 +317,11 @@ def _set_families(n: int) -> tuple[tuple[int, ...], ...]:
         low = s & -s
         rest = s ^ low
         inside[s] = inside[rest] | rest << (low.bit_length() - 1) * n
-    return tuple(has), tuple(pair), tuple(inside)
+    conv = (0, *(_least_t(r) - 1 for r in range(1, comb(n, 2) + 1)))
+    return tuple(has), tuple(pair), tuple(inside), conv
 
 
-def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int, EdgeColoring]:
+def _vertex_set_search(g: Graph, start: int, ub: int) -> tuple[int, EdgeColoring | None]:
     """Minimize total waste over connected vertex sets sharing at most one vertex.
 
     Some extremal coloring has nontrivial classes that are trees pairwise
@@ -324,21 +345,19 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     candidates of at most so many vertices.  A pair's legal candidates
     are the live family AND the sets containing both its ends, and a
     chosen set S makes illegal every set holding two vertices of S.
+
+    ``start`` is the color count of a known coloring, which the search
+    must beat.  Returns mc and the coloring of the best family found, or
+    ``(start, None)`` when no family has more colors than ``start``.
     """
     n, m = g.n, g.m
     adj = g.adj
-    has, pair, inside = _set_families(n)
+    has, pair, inside, conv = _set_families(n)
     nonadj = inside[-1]
     for u in range(n):
         nonadj &= ~(adj[u] << u * n)
-    best_w = m - start_col.color_count
+    best_w = m - start
     floor_w = m - ub
-    # conv[r]: least total waste able to cover r nonadjacent pairs, since
-    # waste w buys a connected set on w + 2 vertices, which holds at least
-    # w + 1 edges and so at most C(w+1, 2) nonadjacent pairs, and
-    # splitting waste never helps.  The least w with C(w+1, 2) >= r is
-    # one less than the least t with C(t, 2) >= r.
-    conv = [0] + [_least_t(r) - 1 for r in range(1, nonadj.bit_count() + 1)]
 
     # The candidates: every connected set on 3 .. best_w + 1 vertices,
     # size[k] those on exactly k and fit[t] those on at most t.  ext[v]
@@ -349,8 +368,11 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     conn = 0
     for v in range(n):
         touch = 0
-        for u in bits(adj[v]):
-            touch |= has[u]
+        row = adj[v]
+        while row:
+            low = row & -row
+            row ^= low
+            touch |= has[low.bit_length() - 1]
         ext.append(touch & ~has[v])
         conn |= 1 << (1 << v)
     size = [0] * (n + 1)
@@ -374,7 +396,8 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
             best_w = w_used
             best_sets = list(chosen)
             return best_w <= floor_w
-        if w_used + conv[uncov.bit_count()] >= best_w:
+        left = uncov.bit_count()
+        if w_used + conv[left] >= best_w:
             return False
         top = min(best_w + 1 - w_used, n)
         live &= fit[top]
@@ -394,6 +417,12 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
             w = k - 2
             if w_used + w >= best_w:
                 return False
+            # A connected k-set has at least k - 1 edges, so it holds at
+            # most C(k-1, 2) nonadjacent pairs.  When even that many leave
+            # too much to cover, no set of this size passes the test below.
+            held = (k - 1) * (k - 2) // 2
+            if held < left and w_used + w + conv[left - held] >= best_w:
+                continue
             sub = pick & size[k]
             while sub:
                 sb = sub & -sub
@@ -415,7 +444,7 @@ def _vertex_set_search(g: Graph, start_col: EdgeColoring, ub: int) -> tuple[int,
     dfs(nonadj, fit[-1], 0, [])
     value = m - best_w
     if best_sets is None:
-        return value, start_col
+        return value, None
     # Each class is the BFS tree of G[S] from its lowest vertex.
     groups = []
     for s in best_sets:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mc_lab import constructions, solver
 from mc_lab.coloring import coloring_to_json, is_simple, verify_mc
 from mc_lab.constructions import (
     build_anchored_partition,
@@ -20,8 +21,9 @@ from mc_lab.constructions import (
     complete_multipartite,
     multipartite_star_coloring,
     near_complete_coloring,
+    spanning_tree_coloring,
 )
-from mc_lab.formulas import split_graph_base_edges
+from mc_lab.formulas import _least_t, split_graph_base_edges
 from mc_lab.graph_core import (
     _has_cut_vertex,
     _is_triangle_free,
@@ -303,8 +305,9 @@ def test_lower_bound_picks_the_denser_construction():
     assert value == 8 == col.color_count
     assert verify_mc(col) is None
     assert trace[:2] == (("lower:spanning-tree", 6), ("lower:near-complete", 8))
-    tree_val, _, _, _ = _bounds(path_graph(5))
-    assert tree_val == 1
+    # A tree start is reported by its count; its coloring is not built.
+    tree_val, tree_col, _, _ = _bounds(path_graph(5))
+    assert (tree_val, tree_col) == (1, None)
 
 
 def test_upper_bounds_entries():
@@ -547,11 +550,46 @@ def test_search_without_an_upper_bound_matches_mc_exact(mc_by_mask):
             if baseline_fast_path(g) is not None:
                 continue
             open_graphs += 1
-            value, col = _vertex_set_search(g, near_complete_coloring(g), g.m)
+            start = near_complete_coloring(g)
+            value, col = _vertex_set_search(g, start.color_count, g.m)
+            if col is None:
+                assert value == start.color_count, edge_mask(g)
+                col = start
             assert value == mc_by_mask(n)[edge_mask(g)], edge_mask(g)
             assert verify_mc(col) is None, edge_mask(g)
             assert col.color_count == value, edge_mask(g)
     assert open_graphs == 4014
+
+
+def test_searched_solves_build_the_tree_start_only_when_it_is_the_answer(monkeypatch):
+    # Of the 3,432 n = 6 graphs that the bounds leave open, 3,252 start
+    # from the spanning-tree count.  The search beats it on all but 90, and
+    # only those 90 solves build the tree coloring, which is their answer.
+    built = []
+
+    def counting(g):
+        col = spanning_tree_coloring(g)
+        built.append(col)
+        return col
+
+    monkeypatch.setattr(constructions, "spanning_tree_coloring", counting)
+    monkeypatch.setattr(solver, "spanning_tree_coloring", counting)
+    searched = tree_starts = 0
+    for g in enumerate_connected_graphs(6):
+        if baseline_fast_path(g) is not None:
+            continue
+        lb, lb_col, ub, _ = _bounds(g)
+        if lb == ub:
+            continue
+        searched += 1
+        tree_starts += lb_col is None
+        before = len(built)
+        cert = mc_exact(g)
+        if len(built) > before:
+            assert len(built) == before + 1 and cert.coloring is built[-1], edge_mask(g)
+            assert lb_col is None and cert.value == lb == g.m - g.n + 2, edge_mask(g)
+            assert verify_mc(cert.coloring) is None, edge_mask(g)
+    assert (searched, tree_starts, len(built)) == (3432, 3252, 90)
 
 
 @pytest.mark.parametrize("sizes, expect", [([3, 3, 3], 21), ([2, 3, 4], 20), ([4, 4, 4], 39)])
@@ -581,7 +619,7 @@ def test_search_coloring_is_revalidated_under_python_O():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_set_families_match_their_definitions(n):
-    has, pair, inside = _set_families(n)
+    has, pair, inside, conv = _set_families(n)
     sets = range(1 << n)
 
     def family(keep):
@@ -594,3 +632,8 @@ def test_set_families_match_their_definitions(n):
     for s in sets:
         inner = [(x, y) for x, y in combinations(range(n), 2) if s >> x & 1 and s >> y & 1]
         assert inside[s] == sum(1 << (x * n + y) for x, y in inner)
+    # conv[r]: the least waste w whose set on w + 2 vertices can hold r
+    # nonadjacent pairs, C(w+1, 2) >= r.
+    assert len(conv) == comb(n, 2) + 1 and conv[0] == 0
+    for r in range(1, comb(n, 2) + 1):
+        assert conv[r] == _least_t(r) - 1 == min(w for w in range(r + 1) if comb(w + 1, 2) >= r)

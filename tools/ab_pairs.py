@@ -17,6 +17,10 @@ the pairs the change won (ties count for neither), and two verdicts:
   medians differ by more than the parent's interquartile range;
 - ``within``: the change's median is no worse than the parent's by more
   than the metric's bound.
+
+The ``peak_rss_mb`` line also lists each run's pass count, per side, from
+the run's info line.  A run's resident-set high-water mark grows with the
+passes that fit in its run length, so a move there reads against them.
 """
 
 import argparse
@@ -28,13 +32,17 @@ from pathlib import Path
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """The last stdout line of one ``bench/run.py`` run in ``root``, as JSON."""
+    """The last stdout line of one ``bench/run.py`` run in ``root``, as JSON.
+
+    ``passes`` is added from the info line before it.
+    """
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.splitlines()[-1])
+    *_, info, result = proc.stdout.splitlines()
+    return {**json.loads(result), "passes": json.loads(info)["info"]["samples"].get("passes")}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,7 +93,10 @@ def main(argv: list[str] | None = None) -> int:
     for spec in bench["end_to_end"]:
         base = [r["metrics"][spec["name"]]["value"] for r in runs["parent"]]
         new = [r["metrics"][spec["name"]]["value"] for r in runs["change"]]
-        print(json.dumps(summary(spec, base, new)))
+        line = summary(spec, base, new)
+        if spec["name"] == "peak_rss_mb":
+            line["passes"] = {side: [r["passes"] for r in results] for side, results in runs.items()}
+        print(json.dumps(line))
     return 0
 
 
