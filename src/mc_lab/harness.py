@@ -144,41 +144,30 @@ def sweep(n: int, jobs: int = 1) -> SweepResult:
 def empirical_force_table(sw: SweepResult) -> dict[int, int]:
     """Observed minimum edge count guaranteeing mc >= k, for each k.
 
-    Scans the sweep's per-edge-count mc minimum downward: the threshold
-    sits one above the largest edge count still admitting a graph with
-    mc <= k - 1, and n - 1 when no graph does.
+    f(n, k) is one more than the largest edge count m whose least mc,
+    ``sw.min_mc_by_m[m]``, is below k, and n - 1 when no edge count has
+    a graph with mc < k.
     """
-    n = sw.n
-    top = comb(n, 2)
-    out: dict[int, int] = {}
-    for k in range(1, top + 1):
-        val = n - 1
-        for m in range(top, n - 2, -1):
-            if sw.min_mc_by_m[m] <= k - 1:
-                val = m + 1
-                break
-        out[k] = val
-    return out
+    low = sw.min_mc_by_m
+    return {
+        k: 1 + max((m for m in low if low[m] < k), default=sw.n - 2)
+        for k in range(1, comb(sw.n, 2) + 1)
+    }
 
 
 def empirical_cap_table(sw: SweepResult) -> dict[int, int]:
     """Observed maximum edge count keeping mc <= k for every graph, per k.
 
-    Scans the per-edge-count mc maximum upward: the cap sits one below
-    the smallest edge count admitting a graph with mc >= k + 1, and
-    C(n,2) when none does.
+    g(n, k) is one less than the least edge count m whose greatest mc,
+    ``sw.max_mc_by_m[m]``, is above k, and C(n, 2) when no edge count has
+    a graph with mc > k.
     """
-    n = sw.n
-    top = comb(n, 2)
-    out: dict[int, int] = {}
-    for k in range(1, top + 1):
-        val = top
-        for m in range(n - 1, top + 1):
-            if sw.max_mc_by_m[m] >= k + 1:
-                val = m - 1
-                break
-        out[k] = val
-    return out
+    high = sw.max_mc_by_m
+    top = comb(sw.n, 2)
+    return {
+        k: min((m for m in high if high[m] > k), default=top + 1) - 1
+        for k in range(1, top + 1)
+    }
 
 
 class CertificationReport(NamedTuple):
@@ -206,9 +195,7 @@ class CertificationReport(NamedTuple):
     verdict: str
 
     def to_json(self) -> str:
-        def skey(d):
-            return {str(k): v for k, v in d.items()}
-
+        # json.dumps writes the int keys of the tables as strings.
         return json.dumps(
             {
                 "n": self.n,
@@ -216,17 +203,17 @@ class CertificationReport(NamedTuple):
                 "graph_count": self.graph_count,
                 "elapsed_seconds": round(self.elapsed, 3),
                 "jobs": self.jobs,
-                "min_mc_by_edge_count": skey(self.min_mc_by_m),
-                "max_mc_by_edge_count": skey(self.max_mc_by_m),
+                "min_mc_by_edge_count": self.min_mc_by_m,
+                "max_mc_by_edge_count": self.max_mc_by_m,
                 "force": {
-                    "expected": skey(self.force_expected),
-                    "observed": skey(self.force_observed),
-                    "witness_g6": skey(self.force_witness_g6),
+                    "expected": self.force_expected,
+                    "observed": self.force_observed,
+                    "witness_g6": self.force_witness_g6,
                 },
                 "cap": {
-                    "expected": skey(self.cap_expected),
-                    "observed": skey(self.cap_observed),
-                    "witness_g6": skey(self.cap_witness_g6),
+                    "expected": self.cap_expected,
+                    "observed": self.cap_observed,
+                    "witness_g6": self.cap_witness_g6,
                 },
                 "mismatches": list(self.mismatches),
             }
@@ -240,17 +227,8 @@ class CertificationReport(NamedTuple):
         w.writerow(
             ["n", "k", "force_expected", "force_observed", "cap_expected", "cap_observed"]
         )
-        for k in sorted(self.force_expected):
-            w.writerow(
-                [
-                    self.n,
-                    k,
-                    self.force_expected[k],
-                    self.force_observed[k],
-                    self.cap_expected[k],
-                    self.cap_observed[k],
-                ]
-            )
+        tables = (self.force_expected, self.force_observed, self.cap_expected, self.cap_observed)
+        w.writerows([self.n, k, *(t[k] for t in tables)] for k in sorted(self.force_expected))
         return buf.getvalue()
 
 
@@ -260,38 +238,36 @@ def certify(n: int, jobs: int = 1) -> CertificationReport:
     sw = sweep(n, jobs=jobs)
     force_obs = empirical_force_table(sw)
     cap_obs = empirical_cap_table(sw)
-    top = comb(n, 2)
-    force_exp = {k: min_edges_forcing(n, k).value for k in range(1, top + 1)}
-    cap_exp = {k: max_edges_capping(n, k).value for k in range(1, top + 1)}
-    mismatches: list[str] = []
-    force_wit: dict[int, str] = {}
-    cap_wit: dict[int, str] = {}
-    for k in range(1, top + 1):
-        if force_obs[k] != force_exp[k]:
-            mismatches.append(
-                f"force n={n} k={k}: expected {force_exp[k]}, observed {force_obs[k]}"
-            )
-        if cap_obs[k] != cap_exp[k]:
-            mismatches.append(
-                f"cap n={n} k={k}: expected {cap_exp[k]}, observed {cap_obs[k]}"
-            )
-        fm = force_exp[k] - 1
-        if fm >= n - 1:
-            low = sw.min_mc_by_m[fm]
-            if low <= k - 1:
-                force_wit[k] = sw.witness_g6[(fm, low)]
-        gm = cap_exp[k] + 1
-        if gm <= top:
-            high = sw.max_mc_by_m[gm]
-            if high >= k + 1:
-                cap_wit[k] = sw.witness_g6[(gm, high)]
+    ks = range(1, comb(n, 2) + 1)
+    force_exp = {k: min_edges_forcing(n, k).value for k in ks}
+    cap_exp = {k: max_edges_capping(n, k).value for k in ks}
+    mismatches = [
+        f"{name} n={n} k={k}: expected {exp[k]}, observed {obs[k]}"
+        for k in ks
+        for name, exp, obs in (("force", force_exp, force_obs), ("cap", cap_exp, cap_obs))
+        if obs[k] != exp[k]
+    ]
+    # The f witness at k is the least-mc graph one edge below f, the g
+    # witness the greatest-mc graph one edge above g, each kept only at an
+    # edge count the sweep has and when its mc is below (above) k.
+    low, high = sw.min_mc_by_m, sw.max_mc_by_m
+    force_wit = {
+        k: sw.witness_g6[f - 1, low[f - 1]]
+        for k, f in force_exp.items()
+        if f - 1 in low and low[f - 1] < k
+    }
+    cap_wit = {
+        k: sw.witness_g6[g + 1, high[g + 1]]
+        for k, g in cap_exp.items()
+        if g + 1 in high and high[g + 1] > k
+    }
     return CertificationReport(
         n=n,
         graph_count=sw.graph_count,
         elapsed=time.perf_counter() - t0,
         jobs=sw.jobs,
-        min_mc_by_m=dict(sw.min_mc_by_m),
-        max_mc_by_m=dict(sw.max_mc_by_m),
+        min_mc_by_m=dict(low),
+        max_mc_by_m=dict(high),
         force_expected=force_exp,
         force_observed=force_obs,
         cap_expected=cap_exp,
@@ -411,20 +387,11 @@ def _cmd_compute(args) -> int:
                     "value": g.m - g.n + 2 if reason is not None else None,
                 }
                 print(json.dumps(out))
-        except ExactSolveRefusedError as exc:
-            print(
-                json.dumps(
-                    {
-                        "graph6": text,
-                        "error": str(exc),
-                        "lower": exc.lower,
-                        "upper": exc.upper,
-                    }
-                )
-            )
-            status = 1
-        except ValueError as exc:
-            print(json.dumps({"graph6": text, "error": str(exc)}))
+        except (ExactSolveRefusedError, ValueError) as exc:
+            err = {"graph6": text, "error": str(exc)}
+            if isinstance(exc, ExactSolveRefusedError):
+                err |= {"lower": exc.lower, "upper": exc.upper}
+            print(json.dumps(err))
             status = 1
         sys.stdout.flush()
     return status
@@ -456,15 +423,11 @@ def _cmd_construct(args) -> int:
         if args.n is None or args.t is None:
             raise ValueError("split needs --n and --t (and optionally --extra)")
         g, col = build_augmented_split_graph(args.n, args.t, args.extra)
-    elif fam == "diam3":
+    elif fam in ("diam3", "deg2"):
         if args.n is None:
-            raise ValueError("diam3 needs --n")
-        g = build_diameter_three_witness(args.n)
-        col = spanning_tree_coloring(g)
-    elif fam == "deg2":
-        if args.n is None:
-            raise ValueError("deg2 needs --n")
-        g = build_degree_two_witness(args.n)
+            raise ValueError(f"{fam} needs --n")
+        build = build_diameter_three_witness if fam == "diam3" else build_degree_two_witness
+        g = build(args.n)
         col = spanning_tree_coloring(g)
     else:
         if not args.sizes:

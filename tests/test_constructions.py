@@ -264,6 +264,8 @@ def test_partitioned_graph_validation():
     with pytest.raises(ValueError):
         # 0 and 1 are adjacent in C_4, so 0 cannot anchor a class holding 1
         PartitionedGraph(c4, ((0, 1), (2, 3)), anchors=(0, 2))
+    with pytest.raises(ValueError, match="^empty vertex class$"):
+        PartitionedGraph(c4, ((), (0, 1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +300,12 @@ def test_anchored_partition_coloring_counts():
         assert verify_mc(col) is None
         assert all(c.is_tree for c in col.classes())
         assert is_simple(col)
+
+
+def test_anchored_partition_coloring_rejects_other_partitions():
+    # C_4 split into its two nonadjacent pairs, without anchors
+    with pytest.raises(ValueError, match="^not a graph built by build_anchored_partition$"):
+        anchored_partition_coloring(PartitionedGraph(cycle_graph(4), ((0, 2), (1, 3))))
 
 
 def test_anchored_partition_range_errors():
@@ -361,6 +369,11 @@ def test_diameter_three_witness():
 def test_diameter_three_witness_range():
     with pytest.raises(ValueError):
         build_diameter_three_witness(4)
+
+
+def test_degree_two_witness_range():
+    with pytest.raises(ValueError, match="^need n >= 3, got 2$"):
+        build_degree_two_witness(2)
 
 
 def test_degree_two_witness():

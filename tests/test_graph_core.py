@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -181,6 +182,24 @@ def test_construction_errors():
         Graph(3, [0b010, 0b000, 0b000])  # asymmetric rows
     with pytest.raises(ValueError):
         from_edge_mask(4, 1 << 6)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([0b110, 0b001], "expected 3 adjacency rows, got 2"),
+        ([0b1000, 0, 0], "adjacency row 0 mentions vertices >= 3"),
+        ([0, 0b010, 0], "self-loop at vertex 1"),
+    ],
+)
+def test_graph_rejects_malformed_rows(rows, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Graph(3, rows)
+
+
+def test_cycle_graph_needs_three_vertices():
+    with pytest.raises(ValueError, match="^a cycle needs at least 3 vertices$"):
+        cycle_graph(2)
 
 
 def test_edge_mask_round_trip_exhaustive_n4():

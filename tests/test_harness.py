@@ -164,10 +164,17 @@ def test_certify_three_vertices():
     assert report.cap_witness_g6 == {1: "Bw", 2: "Bw"}
 
 
+# certify(4)'s witnesses with the closed forms as they are.
+FORCE_WITNESS_4 = {2: "CF", 3: "CN", 4: "CN", 5: "C^", 6: "C^"}
+CAP_WITNESS_4 = {1: "CN", 2: "C^", 3: "C^", 4: "C~", 5: "C~"}
+
+
 def test_certify_four_vertices():
     report = certify(4)
     assert report.verdict == "certified"
     assert report.graph_count == 38
+    assert report.force_witness_g6 == FORCE_WITNESS_4
+    assert report.cap_witness_g6 == CAP_WITNESS_4
     # one edge below the forcing threshold for k = 5 sits a 5-edge graph
     wit = parse_graph6(report.force_witness_g6[5])
     assert wit.m == min_edges_forcing(4, 5).value - 1 == 5
@@ -202,6 +209,87 @@ def test_certification_report_serialization():
     assert rows[0] == ["n", "k", "force_expected", "force_observed", "cap_expected", "cap_observed"]
     assert len(rows) == 4
     assert rows[1] == ["3", "1", "2", "2", "2", "2"]
+
+
+# ---------------------------------------------------------------------------
+# certification mismatches
+
+
+def _shift(monkeypatch, name, k, by):
+    """Move the closed form ``harness.<name>`` by ``by`` at k only."""
+    exact = getattr(harness, name)
+
+    def moved(n, kk):
+        cell = exact(n, kk)
+        return cell._replace(value=cell.value + by) if kk == k else cell
+
+    monkeypatch.setattr(harness, name, moved)
+
+
+@pytest.mark.parametrize(
+    "name, k, by, line, force_wit, cap_wit",
+    [
+        # f(4, 3) + 1 = 6: every 5-edge graph has mc 4, so the f witness goes
+        ("min_edges_forcing", 3, 1, "force n=4 k=3: expected 6, observed 5",
+         {2: "CF", 4: "CN", 5: "C^", 6: "C^"}, CAP_WITNESS_4),
+        # f(4, 5) - 1 = 5: the witness moves down to the 4-edge graph
+        ("min_edges_forcing", 5, -1, "force n=4 k=5: expected 5, observed 6",
+         {**FORCE_WITNESS_4, 5: "CN"}, CAP_WITNESS_4),
+        # g(4, 2) - 1 = 3: every 4-edge graph has mc 2, so the g witness goes
+        ("max_edges_capping", 2, -1, "cap n=4 k=2: expected 3, observed 4",
+         FORCE_WITNESS_4, {1: "CN", 3: "C^", 4: "C~", 5: "C~"}),
+        # g(4, 3) + 1 = 5: the witness moves up to K_4
+        ("max_edges_capping", 3, 1, "cap n=4 k=3: expected 5, observed 4",
+         FORCE_WITNESS_4, {**CAP_WITNESS_4, 3: "C~"}),
+        # g(4, 1) - 2 = 1 puts the witness at 2 edges, where no connected
+        # graph on 4 vertices lies
+        ("max_edges_capping", 1, -2, "cap n=4 k=1: expected 1, observed 3",
+         FORCE_WITNESS_4, {2: "C^", 3: "C^", 4: "C~", 5: "C~"}),
+    ],
+    ids=["f(4,3)+1", "f(4,5)-1", "g(4,2)-1", "g(4,3)+1", "g(4,1)-2"],
+)
+def test_certify_reports_a_wrong_closed_form(monkeypatch, name, k, by, line, force_wit, cap_wit):
+    _shift(monkeypatch, name, k, by)
+    report = certify(4)
+    assert report.verdict == "mismatch"
+    assert report.mismatches == (line,)
+    assert report.force_witness_g6 == force_wit
+    assert report.cap_witness_g6 == cap_wit
+    doc = json.loads(report.to_json())
+    assert doc["verdict"] == "mismatch"
+    assert doc["mismatches"] == [line]
+
+
+def test_certify_reports_a_forcing_threshold_past_the_complete_graph(monkeypatch, sweep6):
+    monkeypatch.setattr(harness, "sweep", lambda n, jobs=1: sweep6)
+    base = certify(6)
+    # f(6, 15) + 2 = 17 puts the witness at 16 edges, one past K_6.
+    _shift(monkeypatch, "min_edges_forcing", 15, 2)
+    report = certify(6)
+    assert report.verdict == "mismatch"
+    assert report.mismatches == ("force n=6 k=15: expected 17, observed 15",)
+    assert report.force_witness_g6 == {
+        k: g6 for k, g6 in base.force_witness_g6.items() if k != 15
+    }
+    assert report.cap_witness_g6 == base.cap_witness_g6
+
+
+@pytest.mark.parametrize(
+    "name, k, by, line",
+    [
+        ("min_edges_forcing", 3, 1, "force n=4 k=3: expected 6, observed 5"),
+        ("max_edges_capping", 1, -2, "cap n=4 k=1: expected 1, observed 3"),
+    ],
+    ids=["f(4,3)+1", "g(4,1)-2"],
+)
+def test_cli_certify_mismatch_prints_the_report_and_exits_2(monkeypatch, capsys, name, k, by, line):
+    _shift(monkeypatch, name, k, by)
+    assert harness.cli_main(["certify", "--n", "4", "--jobs", "1"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    doc = json.loads(out[0])
+    assert doc["verdict"] == "mismatch"
+    assert doc["mismatches"] == [line]
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +612,21 @@ def test_cli_construct_errors():
     assert run_cli("construct", "anchored", "--n", "6").returncode == 1
     assert run_cli("construct", "split", "--n", "6", "--t", "3", "--extra", "4").returncode == 1
     assert run_cli("construct", "multipartite", "--sizes", "3").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("anchored", "--n", "6"), "anchored needs --n and --t"),
+        (("split", "--t", "3"), "split needs --n and --t (and optionally --extra)"),
+        (("diam3",), "diam3 needs --n"),
+        (("deg2", "--t", "3"), "deg2 needs --n"),
+        (("multipartite", "--n", "6"), "multipartite needs --sizes, e.g. --sizes 2,2,3"),
+    ],
+)
+def test_cli_construct_missing_argument_is_one_json_line(capsys, args, error):
+    assert harness.cli_main(["construct", *args]) == 1
+    assert capsys.readouterr().out == json.dumps({"error": error}) + "\n"
 
 
 def _limit_address_space():

@@ -28,7 +28,12 @@ take about 15 s:
   search, 40 of them at n = 11, 12;
 - construct: ``construct F ...`` stdout for the five families at the
   fixed parameters of ``CONSTRUCT``, each followed by the ``verify``
-  stdout of its coloring line.
+  stdout of its coloring line;
+- certify mismatch: ``certify --n N --jobs 1`` reports, kept as for
+  certify, with one closed-form cell moved: f or g shifted by -1 or +1 at
+  one k in {1, 3, 7, 15} with k <= C(N, 2), for N = 4..6.  Each of the 36
+  reports has verdict "mismatch", so this pins the mismatch lines and the
+  witnesses of a failed certification.  It takes about 15 s.
 
 Run from anywhere:
 
@@ -41,6 +46,7 @@ import io
 import json
 import random
 import sys
+from math import comb
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -50,6 +56,7 @@ from mc_lab import (  # noqa: E402
     emit_graph6,
     enumerate_connected_graphs,
     from_edges,
+    harness,
     is_connected,
 )
 
@@ -98,6 +105,21 @@ def certify_doc(n: int, jobs: int) -> str:
     return json.dumps(doc)
 
 
+def shifted_certify_doc(n: int, name: str, k: int, shift: int) -> str:
+    """``certify_doc(n, 1)`` with ``harness.<name>`` moved by ``shift`` at k."""
+    exact = getattr(harness, name)
+
+    def moved(n_: int, k_: int):
+        cell = exact(n_, k_)
+        return cell._replace(value=cell.value + shift) if k_ == k else cell
+
+    setattr(harness, name, moved)
+    try:
+        return certify_doc(n, 1)
+    finally:
+        setattr(harness, name, exact)
+
+
 def seeded_lines(sizes: range, per_n: int) -> str:
     """graph6 lines of ``per_n`` seeded random connected graphs per n."""
     lines = []
@@ -131,6 +153,13 @@ def main() -> None:
             label = f"compute n={sizes.start}..{sizes.stop - 1} {method}"
             print(label, digest([run(["compute", "--method", method], lines)]))
     print("construct", digest(construct_texts()))
+    print("certify mismatch", digest(
+        shifted_certify_doc(n, name, k, shift)
+        for n in range(4, 7)
+        for k in (1, 3, 7, 15) if k <= comb(n, 2)
+        for name in ("min_edges_forcing", "max_edges_capping")
+        for shift in (-1, 1)
+    ))
 
 
 if __name__ == "__main__":
