@@ -13,6 +13,10 @@ class's components come from its own adjacency rows through
 reach routine, for :func:`verify_mc` and the per-class view
 (:meth:`EdgeColoring.classes`) alike.  That view is rebuilt on each
 call; only :func:`is_simple` asks for it.
+
+The public :class:`EdgeColoring` constructor is the validating one: it
+checks the length and the ids of every coloring given to it, including
+those :func:`coloring_from_json` reads.
 """
 
 from __future__ import annotations
@@ -40,7 +44,12 @@ class ColorClass(NamedTuple):
 
 
 class EdgeColoring:
-    """Edge colors parallel to ``graph.edges()``; ids contiguous from 0."""
+    """Edge colors parallel to ``graph.edges()``; ids contiguous from 0.
+
+    The constructor checks the length and the ids.  :meth:`_trusted` skips
+    those checks, so it is only for code whose ids are 0..k-1 by
+    construction, one per edge.
+    """
 
     __slots__ = ("graph", "colors")
 
@@ -51,14 +60,26 @@ class EdgeColoring:
                 f"coloring lists {len(colors)} colors for a graph with {graph.m} edges"
             )
         if colors:
-            used = set(colors)
             # type() rather than isinstance(): bools are ints to isinstance(),
-            # and True, like 1.0, would join the set as 1.  Distinct ints
-            # from 0 whose largest is one less than their count are 0..max.
-            if set(map(type, colors)) != {int} or min(used) or max(used) != len(used) - 1:
+            # and True, like 1.0, would join the set as 1.  The types go
+            # first, since an unhashable id cannot join the set.  Distinct
+            # ints from 0 whose largest is one less than their count are 0..max.
+            if (
+                set(map(type, colors)) != {int}
+                or min(used := set(colors))
+                or max(used) != len(used) - 1
+            ):
                 raise ValueError("color ids must be contiguous integers starting at 0")
         self.graph = graph
         self.colors = colors
+
+    @classmethod
+    def _trusted(cls, graph: Graph, colors: tuple[int, ...]) -> "EdgeColoring":
+        # Internal fast path for a tuple of ids that are 0..k-1 by construction.
+        col = object.__new__(cls)
+        col.graph = graph
+        col.colors = colors
+        return col
 
     @property
     def color_count(self) -> int:

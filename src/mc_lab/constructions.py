@@ -135,9 +135,9 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
             else:
                 fresh += 1
                 colors.append(fresh)
-    col = EdgeColoring(g, colors)
-    assert col.color_count == g.m - g.n + 2
-    return col
+    # The tree's n - 1 edges take 0 and the other m - n + 1 take 1..fresh.
+    assert fresh == g.m - g.n + 1
+    return EdgeColoring._trusted(g, tuple(colors))
 
 
 def _tree_start(g: Graph) -> bool:

@@ -54,7 +54,9 @@ def test_coloring_rejects_bad_color_lists():
         EdgeColoring(c4, [1, 1, 1, 2])  # does not start at 0
 
 
-@pytest.mark.parametrize("colors", [[True, False], [0.0, 1.0], [0, True], [0, 1.0], ["0", "1"]])
+@pytest.mark.parametrize(
+    "colors", [[True, False], [0.0, 1.0], [0, True], [0, 1.0], ["0", "1"], [[0], [0]]]
+)
 def test_coloring_rejects_ids_that_are_not_ints(colors):
     # JSON would write bools as true/false, which coloring_from_json rejects.
     with pytest.raises(ValueError, match="^color ids must be contiguous integers starting at 0$"):

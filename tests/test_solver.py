@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_lab import constructions, solver
-from mc_lab.coloring import coloring_to_json, is_simple, verify_mc
+from mc_lab.coloring import EdgeColoring, coloring_to_json, is_simple, verify_mc
 from mc_lab.constructions import (
     build_anchored_partition,
     build_augmented_split_graph,
@@ -376,6 +376,35 @@ def test_certificate_trace_names():
     names = [name for name, _ in cert2.bound_trace]
     assert cert2.bound_trace[:2] == (("lower:spanning-tree", 4), ("lower:near-complete", 6))
     assert "upper:chromatic" in names
+
+
+def _fast_path_graphs():
+    """Every connected n = 4..6 graph the fast path closes, then 200 seeded n = 7..16 ones."""
+    for n in range(4, 7):
+        yield from (g for g in enumerate_connected_graphs(n) if baseline_fast_path(g))
+    rng = random.Random(25)
+    hits = 0
+    while hits < 200:
+        n = rng.randint(7, 16)
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        p = rng.random()
+        g = from_edges(n, tree + [e for e in edge_list(n) if rng.random() < p])
+        if baseline_fast_path(g):
+            hits += 1
+            yield g
+
+
+def test_fast_path_colorings_pass_the_public_constructor():
+    # The fast path's coloring skips the constructor's checks, so it must
+    # come back unchanged from them, and still connect with value colors.
+    for g in _fast_path_graphs():
+        cert = mc_exact(g)
+        col = cert.coloring
+        assert cert.method == "fast-path"
+        assert type(col.colors) is tuple
+        assert EdgeColoring(g, col.colors) == col, emit_graph6(g)
+        assert verify_mc(col) is None, emit_graph6(g)
+        assert col.color_count == cert.value, emit_graph6(g)
 
 
 def test_certificate_json_embeds_the_coloring_wire_format():

@@ -18,6 +18,10 @@ the pairs the change won (ties count for neither), and two verdicts:
 - ``within``: the change's median is no worse than the parent's by more
   than the metric's bound.
 
+No verdict is printed, and the exit code is 1, when any run on either
+side failed an item or reported ``correct: false`` (as a run without
+metrics does); the message names each such run by its pair and side.
+
 The ``peak_rss_mb`` line also lists each run's pass count, per side, from
 the run's info line.  A run's resident-set high-water mark grows with the
 passes that fit in its run length, so a move there reads against them.
@@ -87,8 +91,15 @@ def main(argv: list[str] | None = None) -> int:
     for side, results in runs.items():
         failed = sum(r["failed"] for r in results)
         print(json.dumps({"side": side, "failed": failed, "attempted": sum(r["attempted"] for r in results)}))
-    if any(not r["metrics"] for results in runs.values() for r in results):
-        print("a run reported no metrics; see its line above", file=sys.stderr)
+    bad = [
+        f"pair {i} {side}"
+        for side, results in runs.items()
+        for i, r in enumerate(results)
+        if r["failed"] or not r["correct"]
+    ]
+    if bad:
+        print(f"no verdicts: failed items or an incorrect run in {', '.join(bad)}; "
+              "see their lines above", file=sys.stderr)
         return 1
     for spec in bench["end_to_end"]:
         base = [r["metrics"][spec["name"]]["value"] for r in runs["parent"]]
