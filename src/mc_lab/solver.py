@@ -60,6 +60,11 @@ class ExactSolveRefusedError(RuntimeError):
         self.lower = lower
         self.upper = upper
 
+    def __reduce__(self):
+        # Pickle and copy call the class with args alone, which would
+        # lose the bounds; a process pool pickles what it raises.
+        return type(self), (self.args[0], self.lower, self.upper)
+
 
 class McCertificate(NamedTuple):
     """Exact mc value plus the evidence for it.
@@ -182,8 +187,7 @@ def baseline_fast_path(g: Graph) -> str | None:
     as K_{5,11} (the one case at n = 16) and K_{6,14}.
 
     Raises ValueError on disconnected input.  This is the one
-    connectivity check of every ``mc_exact`` call with the fast path on,
-    at any size.
+    connectivity check of every ``mc_exact`` call, at any size.
     """
     if not is_connected(g):
         raise ValueError("requires a connected graph")
@@ -228,59 +232,58 @@ def _bounds(g: Graph) -> tuple[int, EdgeColoring | None, int, tuple[tuple[str, i
     return lb, lb_col, min(v for _, v in ubs), trace
 
 
-def mc_exact(g: Graph, *, fast_path: bool = True) -> McCertificate:
+def mc_exact(g: Graph) -> McCertificate:
     """Exact mc(g) with an attaining coloring and a bound trace.
 
-    One pipeline at every size: the connectivity check, the fast path,
-    then the bounds, returning as soon as either closes the value.  Only
-    the search is size-capped: a graph past EXACT_HARD_CAP vertices that
-    the bounds leave open raises ExactSolveRefusedError with their
-    interval.  Raises ValueError on disconnected input.
-    ``fast_path=False`` skips the cheap structural conditions and forces
-    the bound-and-search route, which is how the fast path itself gets
-    regression-tested.
+    One pipeline at every size: the fast path, and when it does not
+    close the value, ``_solve``: the bounds, then the search when they
+    leave a gap.  Only the search is size-capped: a graph past
+    EXACT_HARD_CAP vertices that the bounds leave open raises
+    ExactSolveRefusedError with their interval.  Raises ValueError on
+    disconnected input, of any size: ``baseline_fast_path`` makes the
+    call's one connectivity check.
+    """
+    try:
+        reason = baseline_fast_path(g)
+    except ValueError:
+        raise ValueError("mc is only defined for connected graphs") from None
+    if reason is None:
+        return _solve(g)
+    value = g.m - g.n + 2
+    return McCertificate(value, spanning_tree_coloring(g), "fast-path", ((f"fast:baseline({reason})", value),))
 
-    Connectivity is checked once per call: by ``baseline_fast_path``
-    when the fast path runs, and here otherwise, so a disconnected graph
-    of any size gets ValueError.
 
+def _solve(g: Graph) -> McCertificate:
+    """The bounds, then the vertex-set search when they leave a gap.
+
+    Expects a connected graph; ``mc_exact`` calls it when the fast path
+    does not close the value, and tests call it to check the fast path.
     The search starts from the lower bound's count, not its coloring.  A
     spanning-tree start is built only when it is the answer: when the
     bounds meet, or when the search finds no family with more colors.
     """
-    n, m = g.n, g.m
-    if fast_path:
-        try:
-            reason = baseline_fast_path(g)
-        except ValueError:
-            raise ValueError("mc is only defined for connected graphs") from None
-        if reason is not None:
-            trace = ((f"fast:baseline({reason})", m - n + 2),)
-            return McCertificate(m - n + 2, spanning_tree_coloring(g), "fast-path", trace)
-    elif not is_connected(g):
-        raise ValueError("mc is only defined for connected graphs")
     lb, lb_col, ub, trace = _bounds(g)
     # Raises, not asserts, so that python -O still checks every value.
     if lb > ub:
         raise AssertionError(f"bound inversion on {g!r}: {lb} > {ub}")
-    if lb == ub:
-        col = spanning_tree_coloring(g) if lb_col is None else lb_col
-        return McCertificate(lb, col, "branch-and-bound", trace)
-    if n > EXACT_HARD_CAP:
-        raise ExactSolveRefusedError(
-            f"refusing exact solve for n={n} > {EXACT_HARD_CAP}; "
-            f"mc is within [{lb}, {ub}]",
-            lower=lb,
-            upper=ub,
-        )
-    value, col = _vertex_set_search(g, lb, ub)
+    value, col = lb, None
+    if lb < ub:
+        if g.n > EXACT_HARD_CAP:
+            raise ExactSolveRefusedError(
+                f"refusing exact solve for n={g.n} > {EXACT_HARD_CAP}; "
+                f"mc is within [{lb}, {ub}]",
+                lower=lb,
+                upper=ub,
+            )
+        value, col = _vertex_set_search(g, lb, ub)
     if col is None:
         col = spanning_tree_coloring(g) if lb_col is None else lb_col
-    gap = verify_mc(col)
-    if gap is not None:
-        raise AssertionError(f"search coloring of {g!r} leaves {gap} unconnected")
-    if col.color_count != value:
-        raise AssertionError(f"search coloring of {g!r} has {col.color_count} colors, not {value}")
+    if lb < ub:
+        gap = verify_mc(col)
+        if gap is not None:
+            raise AssertionError(f"search coloring of {g!r} leaves {gap} unconnected")
+        if col.color_count != value:
+            raise AssertionError(f"search coloring of {g!r} has {col.color_count} colors, not {value}")
     return McCertificate(value, col, "branch-and-bound", trace)
 
 
@@ -457,107 +460,63 @@ def mc_oracle_partitions(g: Graph) -> int:
     """Reference mc(g) straight from the definition, for cross-checking.
 
     Walks restricted-growth assignments of edges to color classes while
-    tracking, per class, the vertex sets its components span and, per
-    nonadjacent pair, how many classes join it.  Prunes use elementary
-    counting only: every class assignment after the first in a class
-    costs one color, a class formed by j such merges joins at most
-    C(j+1, 2) nonadjacent pairs, and a one-color spanning tree plus
-    rainbow leftovers always realizes m - n + 2 colors.  Independent of
-    the vertex-set model the main solver searches: it assumes nothing
-    about how color classes overlap.
+    tracking, per class, the vertex sets its components span, and one
+    mask ``cov`` of the nonadjacent pairs that some component joins: bit
+    u * n + v, in both orders.  Components only merge along a branch, so
+    ``cov`` only grows; it is passed down the walk and never undone.  An
+    edge (u, v) joins a class by one rule: take the component holding u
+    and the one holding v, a singleton when none does; skip the class
+    when both are the same component, else cover the pairs inside their
+    union and replace both by it.  Prunes use elementary counting only:
+    every class assignment after the first in a class costs one color, a
+    class formed by j such merges joins at most C(j+1, 2) nonadjacent
+    pairs, and a one-color spanning tree plus rainbow leftovers always
+    realizes m - n + 2 colors.  Independent of the vertex-set model the
+    main solver searches: it assumes nothing about how color classes
+    overlap.
     """
     if not is_connected(g):
         raise ValueError("mc is only defined for connected graphs")
     if g.m > ORACLE_EDGE_CAP:
         raise ValueError(f"oracle limited to {ORACLE_EDGE_CAP} edges, got {g.m}")
     n, m = g.n, g.m
-    edges = list(g.edges())
+    edges = g.edges()
     full = (1 << n) - 1
     nonadj = [full & ~(g.adj[u] | 1 << u) for u in range(n)]
-    pair_id: dict[tuple[int, int], int] = {}
+    target = 0
     for u in range(n):
-        for v in bits(nonadj[u] >> (u + 1) << (u + 1)):
-            pair_id[(u, v)] = len(pair_id)
-    np_ = len(pair_id)
-    if np_ == 0:
+        target |= nonadj[u] << u * n
+    pairs = target.bit_count() // 2
+    if pairs == 0:
         return m  # complete graph: all edges distinct
     best = m - n + 2
-    covered = [0] * np_
     classes: list[list[int]] = []
-    uncovered = np_
 
-    def cover(amask: int, bmask: int) -> list[int]:
-        nonlocal uncovered
-        bumped = []
-        for x in bits(amask):
-            for y in bits(nonadj[x] & bmask):
-                j = pair_id[(x, y) if x < y else (y, x)]
-                covered[j] += 1
-                if covered[j] == 1:
-                    uncovered -= 1
-                bumped.append(j)
-        return bumped
-
-    def uncover(bumped: list[int]) -> None:
-        nonlocal uncovered
-        for j in bumped:
-            covered[j] -= 1
-            if covered[j] == 0:
-                uncovered += 1
-
-    def dfs(i: int, joins: int) -> None:
+    def dfs(i: int, joins: int, cov: int) -> None:
         nonlocal best
-        if uncovered == 0:
+        if cov == target:
             # Rainbow the rest: m - joins colors, the subtree maximum.
-            if m - joins > best:
-                best = m - joins
+            best = max(best, m - joins)
             return
-        if m - joins - 1 <= best:
-            return
-        if comb(m - best, 2) < np_:
-            return
-        if i == m:
+        if m - joins - 1 <= best or comb(m - best, 2) < pairs or i == m:
             return
         u, v = edges[i]
         classes.append([(1 << u) | (1 << v)])
-        dfs(i + 1, joins)
+        dfs(i + 1, joins, cov)
         classes.pop()
-        for ci in range(len(classes)):
-            comps = classes[ci]
-            iu = iv = -1
-            for k, cm in enumerate(comps):
-                if cm >> u & 1:
-                    iu = k
-                if cm >> v & 1:
-                    iv = k
-            if iu == iv and iu != -1:
+        for ci, comps in enumerate(classes):
+            a = next((c for c in comps if c >> u & 1), 1 << u)
+            b = next((c for c in comps if c >> v & 1), 1 << v)
+            if a == b:
                 continue  # edge inside a component never helps
-            if iu == -1 and iv == -1:
-                classes[ci] = comps + [(1 << u) | (1 << v)]
-                dfs(i + 1, joins + 1)
-                classes[ci] = comps
-            elif iv == -1:
-                grown = comps[iu] | (1 << v)
-                bumped = cover(comps[iu], 1 << v)
-                classes[ci] = comps[:iu] + [grown] + comps[iu + 1 :]
-                dfs(i + 1, joins + 1)
-                classes[ci] = comps
-                uncover(bumped)
-            elif iu == -1:
-                grown = comps[iv] | (1 << u)
-                bumped = cover(comps[iv], 1 << u)
-                classes[ci] = comps[:iv] + [grown] + comps[iv + 1 :]
-                dfs(i + 1, joins + 1)
-                classes[ci] = comps
-                uncover(bumped)
-            else:
-                bumped = cover(comps[iu], comps[iv])
-                merged = [cm for k, cm in enumerate(comps) if k not in (iu, iv)]
-                merged.append(comps[iu] | comps[iv])
-                classes[ci] = merged
-                dfs(i + 1, joins + 1)
-                classes[ci] = comps
-                uncover(bumped)
+            # The pairs inside a and inside b are covered already.
+            union = a | b
+            grown = cov
+            for x in bits(union):
+                grown |= (nonadj[x] & union) << x * n
+            classes[ci] = [c for c in comps if c != a and c != b] + [union]
+            dfs(i + 1, joins + 1, grown)
+            classes[ci] = comps
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return best

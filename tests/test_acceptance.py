@@ -34,6 +34,7 @@ from mc_lab.graph_core import (
 )
 from mc_lab.harness import empirical_cap_table, empirical_force_table
 from mc_lab.solver import (
+    _solve,
     baseline_fast_path,
     is_s_perfectly_connected,
     mc_exact,
@@ -158,7 +159,7 @@ def test_acceptance_06_baseline_conditions_regression():
             holds = any(_baseline_conditions(g))
             assert holds == (baseline_fast_path(g) is not None), edge_mask(g)
             if holds:
-                assert mc_exact(g, fast_path=False).value == g.m - n + 2, edge_mask(g)
+                assert _solve(g).value == g.m - n + 2, edge_mask(g)
                 eligible += 1
     print(
         f"acceptance 06 PASS: all {eligible} graphs with n = 4..6 meeting a cheap "

@@ -2,9 +2,12 @@
 
 ``golden_bounds.json`` holds one SHA-256 digest per bucket.  Bucket
 ``n=<n> m=<m> fast=<0|1>`` covers the canonical JSON line
-[graph6, value, method, bound_trace] of every connected graph with that
-vertex and edge count, solved with the fast path on (1) or off (0), in
-enumeration order.  Bucket ``colorings n=<n> fast=<0|1>`` covers
+[graph6, value, method] of every connected graph with that vertex and
+edge count, solved with the fast path on (1, ``mc_exact``) or off (0,
+``_solve``), in enumeration order.  Bucket
+``traces n=<n> m=<m> fast=<0|1>`` covers [graph6, bound_trace] of the
+same solves, so a change to the bounds alone moves only these.  Bucket
+``colorings n=<n> fast=<0|1>`` covers
 [graph6, colors] of the same solves, so the exact trees each class
 takes are pinned too; verify_mc inside mc_exact checks that they are
 valid.  Bucket ``search n=<n>`` covers [graph6, value, colors] for 50
@@ -27,7 +30,7 @@ from pathlib import Path
 
 from mc_lab.constructions import build_anchored_partition
 from mc_lab.graph_core import emit_graph6, enumerate_connected_graphs, from_edges, is_connected
-from mc_lab.solver import _bounds, baseline_fast_path, mc_exact, mc_upper_bounds
+from mc_lab.solver import _bounds, _solve, baseline_fast_path, mc_exact, mc_upper_bounds
 
 GOLDEN = Path(__file__).with_name("golden_bounds.json")
 MAX_N = 6
@@ -81,11 +84,11 @@ def digests() -> dict[str, str]:
         for g in enumerate_connected_graphs(n):
             g6 = emit_graph6(g)
             for fast in (1, 0):
-                cert = mc_exact(g, fast_path=bool(fast))
-                trace = [list(entry) for entry in cert.bound_trace]
+                cert = mc_exact(g) if fast else _solve(g)
                 key = f"n={n} m={g.m} fast={fast}"
-                hashes.setdefault(key, hashlib.sha256()).update(
-                    _line(g6, cert.value, cert.method, trace)
+                hashes.setdefault(key, hashlib.sha256()).update(_line(g6, cert.value, cert.method))
+                hashes.setdefault(f"traces {key}", hashlib.sha256()).update(
+                    _line(g6, [list(entry) for entry in cert.bound_trace])
                 )
                 hashes.setdefault(f"colorings n={n} fast={fast}", hashlib.sha256()).update(
                     _line(g6, cert.coloring.colors)

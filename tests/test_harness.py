@@ -32,7 +32,7 @@ from mc_lab.harness import (
     empirical_force_table,
     sweep,
 )
-from mc_lab.solver import mc_exact
+from mc_lab.solver import _solve, mc_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -415,7 +415,7 @@ def test_cli_compute_bounds_trace_matches_the_solver():
     assert len(lines) == len(graphs) == 771
     for g, line in zip(graphs, lines):
         trace = tuple(tuple(entry) for entry in json.loads(line)["bound_trace"])
-        assert trace == mc_exact(g, fast_path=False).bound_trace, emit_graph6(g)
+        assert trace == _solve(g).bound_trace, emit_graph6(g)
 
 
 def test_cli_compute_refusal_takes_the_edge_window():

@@ -1,6 +1,8 @@
 """Exact solver: frozen values, fast path, bounds, certificates, oracle."""
 
+import copy
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -46,6 +48,7 @@ from mc_lab.solver import (
     ExactSolveRefusedError,
     _bounds,
     _set_families,
+    _solve,
     _vertex_set_search,
     baseline_fast_path,
     is_s_perfectly_connected,
@@ -111,7 +114,7 @@ def test_frozen_family_values():
 def test_solver_methods_on_known_cases():
     assert mc_exact(complete_graph(4)).method == "branch-and-bound"
     assert mc_exact(cycle_graph(4)).method == "fast-path"
-    assert mc_exact(cycle_graph(4), fast_path=False).method == "branch-and-bound"
+    assert _solve(cycle_graph(4)).method == "branch-and-bound"
     assert mc_exact(build_anchored_partition(7, 3).graph).method == "branch-and-bound"
 
 
@@ -125,7 +128,7 @@ def test_bound_closed_solves_are_visible_in_the_trace():
 
 def test_fast_path_toggle_preserves_values():
     for g, expect in FROZEN_VALUES:
-        assert mc_exact(g, fast_path=False).value == expect
+        assert _solve(g).value == expect
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ def test_fast_path_rejects_disconnected():
 
 def test_fast_path_values_match_brute_solver():
     for g in [cycle_graph(6), _twin_cliques(), _two_hub_graph()]:
-        assert mc_exact(g, fast_path=False).value == g.m - g.n + 2
+        assert _solve(g).value == g.m - g.n + 2
 
 
 def _conditions(g):
@@ -437,18 +440,16 @@ def test_exact_solver_is_deterministic():
 
 
 def test_exact_rejects_disconnected():
-    for fast_path in (True, False):
-        with pytest.raises(ValueError, match="^mc is only defined for connected graphs$"):
-            mc_exact(from_edges(4, [(0, 1), (2, 3)]), fast_path=fast_path)
+    with pytest.raises(ValueError, match="^mc is only defined for connected graphs$"):
+        mc_exact(from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_exact_rejects_disconnected_input_past_the_cap():
     # n = 17 with vertex 16 isolated: connectivity is checked before the size refusal.
     g = from_edges(EXACT_HARD_CAP + 1, [(i, i + 1) for i in range(EXACT_HARD_CAP - 1)])
-    for fast_path in (True, False):
-        with pytest.raises(ValueError, match="^mc is only defined for connected graphs$") as info:
-            mc_exact(g, fast_path=fast_path)
-        assert not isinstance(info.value, ExactSolveRefusedError)
+    with pytest.raises(ValueError, match="^mc is only defined for connected graphs$") as info:
+        mc_exact(g)
+    assert not isinstance(info.value, ExactSolveRefusedError)
 
 
 def test_exact_refuses_oversized_input():
@@ -464,6 +465,10 @@ def test_exact_refuses_oversized_input():
     lb, _, ub, _ = _bounds(g)
     assert (err.lower, err.upper) == (lb, ub) == (100, 103)
     assert str(err) == f"refusing exact solve for n=17 > {EXACT_HARD_CAP}; mc is within [100, 103]"
+    # A process pool pickles what its workers raise.
+    for twin in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(twin) is ExactSolveRefusedError
+        assert (str(twin), twin.lower, twin.upper) == (str(err), 100, 103)
 
 
 def test_refusal_intervals_contain_the_known_value():
@@ -530,17 +535,39 @@ def test_oracle_agrees_on_random_five_vertex_graphs():
         assert mc_oracle_partitions(g) == mc_exact(g).value, edge_mask(g)
 
 
+def test_oracle_walk_is_pinned():
+    # The oracle's walk, counted in calls of its inner dfs over every
+    # connected n <= 5 graph: its bookkeeping may change, but not which
+    # nodes it visits, so every prune and skip keeps its reach.
+    dfs = next(c for c in mc_oracle_partitions.__code__.co_consts if getattr(c, "co_name", None) == "dfs")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is dfs
+
+    graphs = [g for n in range(2, 6) for g in enumerate_connected_graphs(n)]
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for g in graphs:
+            mc_oracle_partitions(g)
+    finally:
+        sys.setprofile(outer)
+    assert (len(graphs), calls) == (771, 23914)
+
+
 # ---------------------------------------------------------------------------
 # vertex-set search
 
 
 def _search_matches_oracle(g):
-    """Check mc_exact without the fast path against the oracle.
+    """Check the solve without the fast path against the oracle.
 
     Returns whether the search beat the best lower bound; its coloring
     then comes from the vertex-set model, so it must be simple.
     """
-    cert = mc_exact(g, fast_path=False)
+    cert = _solve(g)
     assert cert.value == mc_oracle_partitions(g), edge_mask(g)
     lower = max(v for name, v in cert.bound_trace if name.startswith("lower:"))
     if cert.value == lower:
@@ -637,7 +664,7 @@ def test_search_coloring_is_revalidated_under_python_O():
         "from mc_lab.graph_core import parse_graph6\n"
         "solver.verify_mc = lambda col: (0, 1)\n"
         "try:\n"
-        "    solver.mc_exact(parse_graph6('E}r?'), fast_path=False)\n"
+        "    solver._solve(parse_graph6('E}r?'))\n"
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
     )

@@ -48,3 +48,35 @@ def test_ab_pairs_gives_verdicts_when_every_run_is_correct(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.count('"gain"') == len(json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"])
     assert err == ""
+
+
+def test_smoke_ratio_alternates_the_checkouts_and_summarises_each_side(monkeypatch, capsys):
+    smoke_ratio = _load("smoke_ratio")
+    parent, change = ROOT, ROOT / "tests"
+    calls = []
+    parent_ratios = {"compute-dense": iter([0.04, 0.05, 0.06, 0.07]), "families-verify": iter([0.03] * 4)}
+
+    def fake_run_once(root, workload):
+        calls.append((root, workload))
+        if root == parent:
+            return {"ratio": next(parent_ratios[workload]), "correct": True}
+        # The change reads 0.02, except for one run that printed no metrics.
+        if len(calls) == 4:
+            return {"ratio": None, "correct": False}
+        return {"ratio": 0.02, "correct": True}
+
+    monkeypatch.setattr(smoke_ratio, "run_once", fake_run_once)
+    assert smoke_ratio.main([str(parent), str(change), "--runs", "4"]) == 0
+    sides = [r == parent for r, _ in calls]
+    assert sides[:8] == [True, False, True, False, False, True, False, True]
+    assert [w for _, w in calls[:4]] == ["compute-dense"] * 2 + ["families-verify"] * 2
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(lines) == 4 * 2 * 2 + 4
+    assert lines[3] == {"run": 0, "workload": "families-verify", "side": "change", "ratio": None, "correct": False}
+    summaries = {(s["workload"], s["side"]): s for s in lines[-4:]}
+    parent_dense = summaries["compute-dense", "parent"]
+    assert parent_dense["median"] == pytest.approx(0.055)
+    assert parent_dense["above"] == 2 and parent_dense["runs"] == 4
+    assert summaries["families-verify", "change"]["median"] == pytest.approx(0.02)
+    assert summaries["families-verify", "change"]["above"] == 1
+    assert summaries["compute-dense", "change"]["above"] == 0
